@@ -26,7 +26,7 @@ def persist(name: str, text: str) -> None:
 def persist_bench_summary(key: str, summary: dict) -> None:
     """Merge one benchmark's machine-readable summary into
     ``benchmarks/output/BENCH_serving.json`` under its own top-level
-    key, so several serving benchmarks (sharding ladder, caching
+    key, so several serving benchmarks (workers ladder, caching
     ladder, ...) archive into the one file CI uploads without
     clobbering each other. Pre-existing single-summary files (the
     legacy flat format with a ``"benchmark"`` name field) are wrapped

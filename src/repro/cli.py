@@ -16,22 +16,18 @@ from the saved artifacts:
     python -m repro train --save artifacts/         # train + persist
     python -m repro train --save artifacts/ --quantize 3 8   # + fixed point
     python -m repro query --artifacts artifacts/ --task 1 [--quantized]
-    python -m repro serve-bench --artifacts artifacts/ --tasks 1 6 \
-        --workers 4 --shards 4
+    python -m repro serve-bench --artifacts artifacts/ --tasks 1 6
 
 Every suite-based experiment accepts ``--artifacts DIR`` to reuse a
 directory written by ``train --save`` instead of retraining.
 
-``serve-bench`` drives the sharded multi-task serving runtime: one
-``ModelRouter`` holding a predictor per task behind a single scheduler,
-whose flushes a pool of ``--workers`` workers executes as concurrent
-sub-batches, each predictor scanning through a ``sharded:<backend>``
-MIPS engine partitioned ``--shards`` ways along ``--shard-axis``. With
-``--worker-mode process`` the flush pool is a ``ProcessPoolExecutor``
-whose workers rebuild each route from ``--artifacts`` with mmap-shared
-weights — the mode that actually scales CPU-bound scans across cores.
-It reports one-at-a-time vs single-worker vs worker-pool throughput
-and per-route traffic.
+``serve-bench`` drives the multi-task serving runtime: one
+``ModelRouter`` holding a predictor per task behind a single scheduler
+whose flushes run inline on one worker. With ``--worker-mode process``
+it adds a ``ProcessPoolExecutor`` row: ``--workers`` worker processes
+rebuild each route from ``--artifacts`` with mmap-shared weights and
+answer each flush as concurrent sub-batches. It reports one-at-a-time
+vs single-worker (vs process-pool) throughput and per-route traffic.
 """
 
 from __future__ import annotations
@@ -65,15 +61,13 @@ _EPILOG = (
     "Suite-based commands accept --artifacts DIR (from `train --save DIR`) "
     "to skip retraining. "
     "Serving: `train --quantize M N` persists fixed-point weights that "
-    "`query --quantized` serves; `serve-bench --workers W --shards S "
-    "--tasks ...` routes a mixed-task request stream through one "
-    "scheduler with a W-worker flush pool over S-way sharded MIPS "
-    "backends (--shard-axis batch|vocab). --worker-mode process swaps "
-    "the GIL-bound thread pool for worker processes rebuilt from "
-    "--artifacts with mmap-shared weights (zero-copy; encoded arrays "
-    "on the pipe). `--cache-entries N --zipf S` adds a per-route "
-    "story-encoding cache and a zipf-skewed replay mix to measure "
-    "hit-rate vs throughput."
+    "`query --quantized` serves; `serve-bench --tasks ...` routes a "
+    "mixed-task request stream through one scheduler; "
+    "`--worker-mode process --workers W` adds a W-process flush pool "
+    "rebuilt from --artifacts with mmap-shared weights (zero-copy; "
+    "encoded arrays on the pipe). `--cache-entries N --zipf S` adds a "
+    "per-route story-encoding cache and a zipf-skewed replay mix to "
+    "measure hit-rate vs throughput."
 )
 
 
@@ -447,8 +441,6 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
         max_wait_s=args.max_wait_ms / 1e3,
         cache_entries=args.cache_entries or None,
         n_workers=args.workers,
-        shards=args.shards if args.shards > 1 else None,
-        shard_axis=args.shard_axis,
         worker_mode=args.worker_mode,
         queue_cap=args.queue_cap,
         overload_policy=args.overload_policy,
@@ -501,25 +493,14 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> None:
-    """Sharded multi-task serving throughput: router + worker pool.
+    """Multi-task serving throughput through one router.
 
-    Three submission modes over the same mixed-task request stream:
-    one-at-a-time ``predict`` calls, the single-worker scheduler (the
-    PR 3 serving path), and the worker pool with shard-parallel MIPS
-    backends (``--workers``/``--shards``).
+    Submission modes over the same mixed-task request stream:
+    one-at-a-time ``predict`` calls, the single-worker scheduler, and
+    with ``--worker-mode process`` the ``--workers``-process pool.
     """
     from repro.serving import ModelRouter
 
-    if (
-        args.shard_axis == "vocab"
-        and args.shards > 1
-        and args.mips_backend not in ("exact", "threshold")
-    ):
-        raise SystemExit(
-            f"--shard-axis vocab requires an exhaustive scan (exact) or "
-            f"the vocab-shardable threshold scan; got --mips-backend "
-            f"{args.mips_backend}"
-        )
     if args.worker_mode == "process" and args.artifacts is None:
         raise SystemExit(
             "--worker-mode process requires --artifacts DIR: worker "
@@ -563,7 +544,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             kill_worker_rate=args.chaos_kill_rate
         )
 
-    def timed_run(n_workers: int, shards: int, worker_mode: str = "thread"):
+    def timed_run(n_workers: int, worker_mode: str = "thread"):
         # Process workers rebuild their routes from the artifact
         # directory, so the path (not the loaded suite) is the source.
         from repro.serving import ServingError
@@ -573,8 +554,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             source,
             tasks=list(suite.tasks),
             n_workers=n_workers,
-            shards=shards if shards > 1 else None,
-            shard_axis=args.shard_axis,
             worker_mode=worker_mode,
             **open_kwargs,
             **resilience_kwargs,
@@ -597,10 +576,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                     failed += 1
         return time.perf_counter() - start, router, failed
 
-    single_seconds, single, single_failed = timed_run(1, 1)
-    pooled_seconds, pooled, pooled_failed = timed_run(
-        args.workers, args.shards, args.worker_mode
-    )
+    single_seconds, single, single_failed = timed_run(1)
+    runs = [("1 worker", single, single_failed)]
+    pooled = None
+    if args.worker_mode == "process":
+        pooled_seconds, pooled, pooled_failed = timed_run(args.workers, "process")
+        runs.append(("pool", pooled, pooled_failed))
 
     mix = f"zipf(s={args.zipf})" if args.zipf is not None else "round-robin"
     table = TextTable(
@@ -675,12 +656,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
         single_seconds,
         single,
     )
-    _scheduler_row(
-        f"worker pool ({args.workers} {args.worker_mode} workers, "
-        f"{args.shards} shards)",
-        pooled_seconds,
-        pooled,
-    )
+    if pooled is not None:
+        _scheduler_row(
+            f"process pool ({args.workers} workers)", pooled_seconds, pooled
+        )
     if args.async_frontend:
         async_seconds, async_router, n_served = _timed_async_run(args, suite, requests)
         policy = args.overload_policy
@@ -705,10 +684,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             )
         )
     if args.chaos_kill_rate or args.retry_max or args.breaker_threshold:
-        for label, router, failed in (
-            ("1 worker", single, single_failed),
-            ("pool", pooled, pooled_failed),
-        ):
+        for label, router, failed in runs:
             stats = router.stats
             print(
                 f"resilience [{label}]: {failed} failed, "
@@ -717,13 +693,14 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 f"{stats.breaker_opens} breaker opens"
             )
     print(f"micro-batching speedup: {one_at_a_time / single_seconds:.1f}x")
-    print(
-        f"worker-pool speedup vs single worker: "
-        f"{single_seconds / pooled_seconds:.2f}x "
-        f"(mean sub-batches/flush {pooled.stats.mean_shards_per_flush:.1f})"
-    )
+    if pooled is not None:
+        print(
+            f"process-pool speedup vs single worker: "
+            f"{single_seconds / pooled_seconds:.2f}x (mean sub-batches/flush "
+            f"{pooled.stats.mean_sub_batches_per_flush:.1f})"
+        )
     if args.cache_entries:
-        for label, router in (("1 worker", single), ("pool", pooled)):
+        for label, router, _ in runs:
             stats = router.stats
             print(
                 f"story cache [{label}]: hit rate "
@@ -733,7 +710,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
             )
     per_route = ", ".join(
         f"task {task}: {stats.requests}"
-        for task, stats in sorted(pooled.route_stats.items())
+        for task, stats in sorted((pooled or single).route_stats.items())
     )
     print(f"per-route requests: {per_route}")
 
@@ -930,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "serve-bench",
-        help="sharded multi-task serving throughput (router + worker pool)",
+        help="multi-task serving throughput (router + scheduler)",
     )
     _add_suite_arguments(bench)
     bench.add_argument("--requests", type=int, default=256)
@@ -942,32 +919,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="flush worker threads: each flush splits into up to this "
-        "many concurrent sub-batches (default: 4)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="per-predictor MIPS shard count (wraps the backend as "
-        "sharded:<name>; 1 disables sharding; default: 4)",
-    )
-    bench.add_argument(
-        "--shard-axis",
-        choices=("batch", "vocab"),
-        default="batch",
-        help="partition axis of the sharded MIPS scan (vocab requires "
-        "the exact or threshold backend)",
+        default=1,
+        help="process-pool workers: each flush splits into up to this "
+        "many concurrent sub-batches (> 1 requires --worker-mode "
+        "process; default: 1)",
     )
     bench.add_argument(
         "--worker-mode",
         choices=("thread", "process"),
         default="thread",
-        help="flush worker pool kind: 'thread' shares the GIL (cheap, "
-        "but CPU-bound scans serialise); 'process' rebuilds each route "
-        "in worker processes from --artifacts with mmap-shared weights "
-        "(requires --artifacts; default: thread)",
+        help="'thread' flushes inline on one worker; 'process' adds a "
+        "process-pool row whose workers rebuild each route from "
+        "--artifacts with mmap-shared weights (requires --artifacts; "
+        "default: thread)",
     )
     bench.add_argument(
         "--cache-entries",
@@ -1080,7 +1044,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) > 1 and args.worker_mode != "process":
+        parser.error(
+            "--workers > 1 requires --worker-mode process "
+            "(thread mode flushes inline on one worker)"
+        )
     args.handler(args)
     return 0
 

@@ -18,11 +18,6 @@ Every backend implements ``search(query) -> SearchResult`` and a
 vectorized ``search_batch(queries) -> BatchSearchResult`` (stacked
 labels/logits/comparisons/early-exit arrays), and is constructed via
 ``get_backend(name).build(weight, order=None, **context)``.
-
-Any backend composes with the shard-parallel wrapper
-(:mod:`repro.mips.sharding`) through the ``"sharded:<inner>"`` name —
-``get_backend("sharded:threshold")`` — which partitions ``search_batch``
-across the batch or vocab axis and merges with bit-exact parity.
 """
 
 from repro.mips.backend import (
@@ -33,13 +28,12 @@ from repro.mips.backend import (
     inner_products,
     register_backend,
 )
-from repro.mips.sharding import ShardedBackend, ShardPlan
 from repro.mips.exact import ExactMips
 from repro.mips.histograms import GaussianKde, LogitHistogram
 from repro.mips.lsh import AlshMips
 from repro.mips.clustering import ClusteringMips
 from repro.mips.ordering import index_order_by_silhouette, silhouette_coefficient
-from repro.mips.stats import BatchSearchResult, SearchResult, SearchStats, ShardStats
+from repro.mips.stats import BatchSearchResult, SearchResult, SearchStats
 from repro.mips.thresholding import InferenceThresholding, ThresholdModel, fit_threshold_model
 
 __all__ = [
@@ -49,9 +43,6 @@ __all__ = [
     "get_backend",
     "inner_products",
     "register_backend",
-    "ShardPlan",
-    "ShardStats",
-    "ShardedBackend",
     "ExactMips",
     "LogitHistogram",
     "GaussianKde",

@@ -211,13 +211,6 @@ class InferenceThresholding:
     #: Consumers must supply a fitted ThresholdModel at build time.
     requires_threshold_model = True
 
-    #: The scan order may be partitioned across vocab shards: each
-    #: shard reports its first clearing position and the merge takes
-    #: the earliest in global scan order, reproducing Step 4 exactly
-    #: (see repro.mips.sharding). The shards snapshot ``theta`` at
-    #: build time, unlike this class's per-call lookup.
-    vocab_shardable = True
-
     def __init__(
         self,
         weight: np.ndarray,

@@ -17,19 +17,18 @@ The deployment story of the repro in three calls::
   co-simulation) — same :class:`QueryRequest`/:class:`QueryResponse`
   types either way.
 * :class:`BatchScheduler` — coalesces individually submitted requests
-  into vectorised flushes (max-batch / max-wait) executed by a pool of
-  ``n_workers`` flush workers (each flush split into concurrent shard
-  sub-batches), recording per-request latency, per-flush batch sizes
-  and sub-batch counts in :class:`ServingStats`.
-  ``worker_mode="process"`` swaps the GIL-bound thread pool for worker
-  processes that rebuild artifact-backed predictors locally from
-  picklable :class:`WorkerSpec` recipes, sharing the weights zero-copy
-  via the memory-mapped artifacts npz.
+  into vectorised flushes (max-batch / max-wait), recording per-request
+  latency, per-flush batch sizes and sub-batch counts in
+  :class:`ServingStats`. By default each flush runs inline, on one
+  worker. ``worker_mode="process"`` splits each flush into sub-batches
+  for ``n_workers`` worker processes that rebuild artifact-backed
+  predictors locally from picklable :class:`WorkerSpec` recipes,
+  sharing the weights zero-copy via the memory-mapped artifacts npz.
 * :class:`ModelRouter` — many named predictors (one per bAbI task)
   behind one shared scheduler, routed by ``QueryRequest.task`` with
   per-route statistics::
 
-      with ModelRouter.open("artifacts/", n_workers=4, shards=4) as r:
+      with ModelRouter.open("artifacts/") as r:
           answer = r.submit(QueryRequest(story, question, task=6)).result()
 * :class:`MemoryCache` — the cross-request story-encoding cache
   (``cache_entries=`` on :func:`open_predictor` / ``ModelRouter.open``):

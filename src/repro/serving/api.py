@@ -17,13 +17,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-# The full failure taxonomy lives in repro.serving.errors; these two
-# predate it and are re-exported here so existing imports keep working.
-from repro.serving.errors import DeadlineExceededError, OverloadError
-
 __all__ = [
-    "DeadlineExceededError",
-    "OverloadError",
     "Predictor",
     "QueryRequest",
     "QueryResponse",
@@ -49,7 +43,8 @@ class QueryRequest:
     oldest pending budget is about to be consumed, completion within
     the budget counts toward :attr:`ServingStats.goodput_rate`, and
     under ``overload_policy="shed-expired"`` a request whose budget ran
-    out before its flush resolves with :class:`DeadlineExceededError`.
+    out before its flush resolves with
+    :class:`~repro.serving.errors.DeadlineExceededError`.
     ``None`` (the default) means no deadline — pure throughput serving.
     """
 
@@ -107,7 +102,7 @@ class Predictor(Protocol):
 
     A predictor may additionally expose
     ``partition_batch(requests, n) -> list[list[int]]`` — index groups
-    the :class:`~repro.serving.BatchScheduler` worker pool should
+    the :class:`~repro.serving.BatchScheduler` process pool should
     dispatch as concurrent sub-batches (the router partitions by task
     this way); without the hook the scheduler splits contiguously.
 
@@ -187,9 +182,9 @@ class ServingStats:
     """Counters a predictor or scheduler accumulates while serving.
 
     ``batch_sizes`` is one entry per flush (the micro-batching win to
-    watch), ``latencies_s`` one per request, ``shards_per_flush`` how
-    many concurrent sub-batches the worker pool dispatched per flush
-    (always 1 on the single-worker inline path) — each a bounded
+    watch), ``latencies_s`` one per request, ``sub_batches_per_flush``
+    how many concurrent sub-batches the process pool dispatched per
+    flush (always 1 on the inline path) — each a bounded
     reservoir sample (:data:`RESERVOIR_CAPACITY`) whose count, mean and
     max stay exact however long the router runs; percentiles
     (``p50_latency_s``/``p95_latency_s``/``p99_latency_s``) come from
@@ -201,8 +196,9 @@ class ServingStats:
     processes included), with ``cache_hit_rate`` derived.
 
     The SLO layer adds four exact counters: ``shed`` (submissions
-    rejected with :class:`OverloadError` at the full queue), ``expired``
-    (admitted requests dropped with :class:`DeadlineExceededError`
+    rejected with :class:`~repro.serving.errors.OverloadError` at the
+    full queue), ``expired`` (admitted requests dropped with
+    :class:`~repro.serving.errors.DeadlineExceededError`
     because their budget ran out before the flush), and
     ``deadline_met``/``deadline_missed`` (deadline-carrying requests
     that completed within / past their budget). ``goodput_rate`` is the
@@ -249,7 +245,7 @@ class ServingStats:
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
-    _shards: _Reservoir = field(
+    _sub_batches: _Reservoir = field(
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
@@ -259,12 +255,15 @@ class ServingStats:
     )
 
     def record_flush(
-        self, batch_size: int, n_shards: int = 1, service_s: float | None = None
+        self,
+        batch_size: int,
+        sub_batches: int = 1,
+        service_s: float | None = None,
     ) -> None:
         self.flushes += 1
         self.requests += batch_size
         self._batch_sizes.add(batch_size)
-        self._shards.add(n_shards)
+        self._sub_batches.add(sub_batches)
         if service_s is not None:
             self._service.add(service_s)
 
@@ -327,8 +326,8 @@ class ServingStats:
         return self._latencies.sample
 
     @property
-    def shards_per_flush(self) -> list[float]:
-        return self._shards.sample
+    def sub_batches_per_flush(self) -> list[float]:
+        return self._sub_batches.sample
 
     @property
     def latency_count(self) -> int:
@@ -361,8 +360,8 @@ class ServingStats:
         return self._latencies.percentile(99.0)
 
     @property
-    def mean_shards_per_flush(self) -> float:
-        return self._shards.mean
+    def mean_sub_batches_per_flush(self) -> float:
+        return self._sub_batches.mean
 
     # -- SLO / deadline accounting -------------------------------------
     @property

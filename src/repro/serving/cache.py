@@ -32,7 +32,7 @@ memories are reused (a mismatch counts in ``stats.collisions`` and is
 served as a miss).
 
 The cache is an LRU bounded in **entries** and optionally **bytes**
-(stories + both memory matrices), safe under concurrent flush workers
+(stories + both memory matrices), safe under concurrent callers
 (one lock around the table — ``worker_mode="thread"`` shares one cache
 per route; ``worker_mode="process"`` rebuilds one per worker process
 from its :class:`~repro.serving.worker.WorkerSpec` and merges hit

@@ -18,13 +18,13 @@ bridge done right:
   scheduler's ``add_room_callback`` (a ``call_soon_threadsafe``
   wrapper) and retries once a dequeue frees room — async backpressure
   without holding any thread. Under the shed policies the typed
-  :class:`~repro.serving.api.OverloadError` propagates to the caller
+  :class:`~repro.serving.errors.OverloadError` propagates to the caller
   immediately: load shedding is the caller's signal to back off.
 * Deadlines ride on the request: ``deadline_s`` (per call, or the
   frontend's ``default_deadline_s``) is stamped into
   ``QueryRequest.deadline_s``, which the scheduler's deadline thread
   turns into an SLO-aware early flush and — under ``"shed-expired"`` —
-  a typed :class:`~repro.serving.api.DeadlineExceededError` when the
+  a typed :class:`~repro.serving.errors.DeadlineExceededError` when the
   budget is spent before the flush lands.
 
 The frontend wraps either a bare :class:`BatchScheduler` or a
@@ -53,7 +53,8 @@ import asyncio
 from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
-from repro.serving.api import OverloadError, QueryRequest, QueryResponse
+from repro.serving.api import QueryRequest, QueryResponse
+from repro.serving.errors import OverloadError
 from repro.serving.router import ModelRouter
 
 
@@ -161,7 +162,7 @@ class AsyncFrontend:
         ``deadline_s`` (seconds of SLO budget from *this* call)
         overrides both ``request.deadline_s`` and the frontend
         default. Raises :class:`OverloadError` when shed at admission,
-        :class:`~repro.serving.api.DeadlineExceededError` when the
+        :class:`~repro.serving.errors.DeadlineExceededError` when the
         budget is spent before the flush lands (policy
         ``"shed-expired"``), or whatever the flush raised.
         """

@@ -298,8 +298,6 @@ def open_predictor(
     device: str = "sw",
     mips_backend: str = "exact",
     hw_config: HwConfig | None = None,
-    shards: int | None = None,
-    shard_axis: str = "batch",
     quantized: bool = False,
     cache_entries: int | None = None,
     cache_bytes: int | None = None,
@@ -313,17 +311,12 @@ def open_predictor(
     :class:`~repro.eval.suite.BabiSuite`, or a single
     :class:`~repro.eval.suite.TaskSystem`. ``task_id`` selects the task
     (optional when the suite holds exactly one). ``mips_backend`` is any
-    registered ``repro.mips`` name — including the shard-parallel
-    composition ``"sharded:<inner>"``; passing ``shards=N`` is the
-    shorthand that wraps the named backend in a
-    :class:`~repro.mips.sharding.ShardedBackend` with ``N`` partitions
-    along ``shard_axis``. ``quantized=True`` serves the fixed-point
+    registered ``repro.mips`` name. ``quantized=True`` serves the fixed-point
     weights persisted in the artifacts (``save_suite(..., qformat=...)``)
     instead of the float model. ``**params`` are backend build
     parameters (``rho``, ``index_ordering``, ``seed``, ...). On
     ``device="hw"`` the backend runs inside the accelerator's OUTPUT
-    module via ``hw_config`` (only ``rho``/``index_ordering`` tune it;
-    sharding is a software MIPS-layer construct and is rejected).
+    module via ``hw_config`` (only ``rho``/``index_ordering`` tune it).
 
     ``cache_entries`` enables the cross-request story-encoding cache
     (:class:`~repro.serving.cache.MemoryCache`): replayed stories skip
@@ -347,12 +340,9 @@ def open_predictor(
         )
     if spec_source is None and isinstance(artifacts, (str, Path)):
         spec_source = artifacts
-    # Capture the rebuild recipe before the shards shorthand rewrites
-    # mips_backend/params below — the worker replays the same call.
+    # The rebuild recipe: the worker replays the same call.
     spec_args = dict(
         mips_backend=str(mips_backend),
-        shards=shards,
-        shard_axis=shard_axis,
         quantized=bool(quantized),
         cache_entries=cache_entries,
         cache_bytes=cache_bytes,
@@ -370,10 +360,6 @@ def open_predictor(
         weights = system.quantized.weights
 
     if device == "sw":
-        if shards is not None:
-            if not str(mips_backend).startswith("sharded:"):
-                mips_backend = f"sharded:{mips_backend}"
-            params.update(n_shards=shards, shard_axis=shard_axis)
         from repro.mann.batch import BatchInferenceEngine
 
         memory_cache = (
@@ -401,11 +387,6 @@ def open_predictor(
             engine, vocab=vocab, task_id=system.task_id, spec=spec
         )
 
-    if shards is not None:
-        raise ValueError(
-            "shards= partitions the software MIPS backend layer; "
-            "device='hw' runs the OUTPUT module's own scan"
-        )
     unsupported = set(params) - {"rho", "index_ordering"}
     if unsupported:
         raise ValueError(

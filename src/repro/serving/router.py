@@ -5,15 +5,17 @@ holds one :class:`~repro.serving.api.Predictor` per route (a bAbI task
 id / artifact task directory), routes each request's
 ``QueryRequest.task`` to its model, and funnels every route through a
 single shared :class:`~repro.serving.BatchScheduler` — so micro-batching
-and the worker pool amortise across tasks instead of per-task::
+(and, in process mode, the worker pool) amortises across tasks instead
+of per-task::
 
-    with ModelRouter.open("artifacts/", n_workers=4, shards=4) as router:
+    with ModelRouter.open("artifacts/") as router:
         future = router.submit(QueryRequest(story, question, task=6))
         print(future.result().answer)
 
-Flushes containing several tasks are partitioned task-first (the
-router implements the scheduler's ``partition_batch`` hook), so each
-worker executes one single-task vectorised ``predict_batch``. Per-route
+An inline flush containing several tasks runs one vectorised
+``predict_batch`` per task. In process mode the router's
+``partition_batch`` hook splits a flush task-first, so each worker
+process answers single-task sub-batches. Per-route
 traffic is accounted in ``router.route_stats[task]``; scheduler-level
 flush statistics stay in ``router.stats``.
 
@@ -27,9 +29,9 @@ burning shared scheduler capacity on a model that cannot answer. After
 ``breaker_reset_s`` the breaker half-opens and probe flushes test the
 route; one success closes it. A route with a configured *fallback*
 predictor (``fallbacks=`` / ``ModelRouter.open(breaker_fallback=True)``)
-keeps answering while open — degraded (unsharded, cache-bypassing)
-but live — with ``degraded`` counted in the stats. Healthy routes are
-untouched either way: breaker state is strictly per route.
+keeps answering while open — degraded (cache-bypassing) but live —
+with ``degraded`` counted in the stats. Healthy routes are untouched
+either way: breaker state is strictly per route.
 """
 
 from __future__ import annotations
@@ -37,16 +39,14 @@ from __future__ import annotations
 import threading
 from typing import Mapping, Sequence
 
-from repro.serving.api import (
+from repro.serving.api import Predictor, QueryRequest, QueryResponse, ServingStats
+from repro.serving.clock import MONOTONIC
+from repro.serving.errors import (
     DeadlineExceededError,
     OverloadError,
-    Predictor,
-    QueryRequest,
-    QueryResponse,
-    ServingStats,
+    RouteUnavailableError,
+    SchedulerClosedError,
 )
-from repro.serving.clock import MONOTONIC
-from repro.serving.errors import RouteUnavailableError, SchedulerClosedError
 from repro.serving.resilience import CircuitBreaker
 from repro.serving.scheduler import BatchScheduler
 
@@ -111,7 +111,7 @@ class _RoutingPredictor:
 
     def record_failure(self, requests: Sequence[QueryRequest], error) -> None:
         """Scheduler failure hook: feed each failed sub-batch's route
-        breaker. Pooled sub-batches are task-pure so the blame is
+        breaker. Process sub-batches are task-pure so the blame is
         exact; an inline mixed batch blames every route present (the
         flush failed for all of them). Admission/lifecycle errors are
         exempt — they say nothing about route health."""
@@ -261,7 +261,7 @@ class _RoutingPredictor:
     def partition_batch(
         self, requests: Sequence[QueryRequest], n: int
     ) -> list[list[int]]:
-        """Task-first partition for the scheduler's worker pool.
+        """Task-first partition for the scheduler's process pool.
 
         Each sub-batch is single-task (one vectorised engine call);
         large task groups are split further so roughly ``n`` chunks
@@ -376,8 +376,6 @@ class ModelRouter:
         *,
         device: str = "sw",
         mips_backend: str = "exact",
-        shards: int | None = None,
-        shard_axis: str = "batch",
         quantized: bool = False,
         cache_entries: int | None = None,
         cache_bytes: int | None = None,
@@ -405,8 +403,7 @@ class ModelRouter:
         accepts (the suite is loaded once and shared across routes);
         ``tasks`` restricts the routes (default: every task present).
         The remaining keywords go to ``open_predictor`` per route —
-        including the shard-parallel MIPS knobs ``shards``/
-        ``shard_axis``, ``quantized`` serving, and the story-encoding
+        including ``quantized`` serving and the story-encoding
         cache bounds ``cache_entries``/``cache_bytes`` (one
         :class:`~repro.serving.cache.MemoryCache` **per route** — keys
         never collide across vocabularies/models).
@@ -422,8 +419,8 @@ class ModelRouter:
         ``breaker_threshold``/``breaker_reset_s``/``breaker_probes``
         arm one :class:`~repro.serving.resilience.CircuitBreaker` per
         route. ``breaker_fallback=True`` additionally opens a degraded
-        twin of every route — same model and backend, but unsharded
-        and cache-bypassing — that keeps answering while the route's
+        twin of every route — same model and backend, but
+        cache-bypassing — that keeps answering while the route's
         breaker is open. ``chaos_plan``
         (a :class:`~repro.serving.chaos.FaultPlan`) wraps every primary
         route in a :class:`~repro.serving.chaos.ChaosPredictor` with a
@@ -463,8 +460,6 @@ class ModelRouter:
                 task,
                 device=device,
                 mips_backend=mips_backend,
-                shards=shards,
-                shard_axis=shard_axis,
                 quantized=quantized,
                 cache_entries=cache_entries,
                 cache_bytes=cache_bytes,
@@ -488,8 +483,6 @@ class ModelRouter:
                     task,
                     device=device,
                     mips_backend=mips_backend,
-                    shards=None,
-                    shard_axis="batch",
                     quantized=quantized,
                     cache_entries=None,
                     cache_bytes=None,
@@ -575,7 +568,7 @@ class ModelRouter:
 
     def submit_nowait(self, request: QueryRequest):
         """Like :meth:`submit`, but a full bounded queue raises
-        :class:`~repro.serving.api.OverloadError` instead of blocking
+        :class:`~repro.serving.errors.OverloadError` instead of blocking
         (the :class:`~repro.serving.frontend.AsyncFrontend` admission
         path)."""
         self._check_route_available(self.resolve_task(request))

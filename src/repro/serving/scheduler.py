@@ -1,4 +1,4 @@
-"""Micro-batching scheduler: many callers, one pool of flush workers.
+"""Micro-batching scheduler: many callers, one flush path.
 
 PR 1/2 made whole-batch inference ~20x cheaper per example than the
 per-example path — but a serving frontend receives requests one at a
@@ -23,7 +23,7 @@ into one flush when either
 ``overload_policy`` picks what happens at the brim:
 
 * ``"block"`` (default) — ``submit()`` waits for room (backpressure);
-  ``submit_nowait()`` raises :class:`~repro.serving.api.OverloadError`
+  ``submit_nowait()`` raises :class:`~repro.serving.errors.OverloadError`
   instead, which is how the asyncio frontend awaits room without
   blocking the event loop. In manual mode (no deadline thread) the
   blocked submitter drains a batch itself rather than deadlocking.
@@ -31,7 +31,7 @@ into one flush when either
   work is never touched, so admitted latency stays bounded.
 * ``"shed-expired"`` — like ``"shed"``, but expired queue entries
   (deadline budget already spent) are evicted first — their futures
-  resolve with :class:`~repro.serving.api.DeadlineExceededError` — and
+  resolve with :class:`~repro.serving.errors.DeadlineExceededError` — and
   an expired request is also dropped at flush time instead of wasting
   batch capacity on an answer nobody can use.
 
@@ -65,32 +65,32 @@ order, and responses within one sub-batch resolve in that order. On
 the single-worker inline path flushes additionally *complete* in
 dequeue order (a ticket assigned at dequeue time serialises execution
 FIFO — previously two racing flushes could acquire the execution lock
-out of order and complete newer requests before older ones). With
-``n_workers > 1`` sub-batches execute concurrently by design, so
-completion order across sub-batches is unordered; per-route FIFO then
-holds per sub-batch, not across a flush.
+out of order and complete newer requests before older ones). In
+process mode sub-batches execute concurrently by design, so completion
+order across sub-batches is unordered; per-route FIFO then holds per
+sub-batch, not across a flush.
 
-With ``n_workers == 1`` (the default) a flush is one inline
-``predict_batch`` call. With ``n_workers > 1`` each flush is split
-into up to ``n_workers`` sub-batches — contiguous slices, or whatever
-the predictor's optional ``partition_batch`` hook returns (the router
-partitions by task) — dispatched concurrently and reassembled in
-submission order. ``worker_mode`` picks the pool:
+``worker_mode`` picks one of two execution paths:
 
-* ``"thread"`` (default) — a ``ThreadPoolExecutor`` running
-  ``predict_batch`` in-process. Cheap, but CPU-bound einsum scans
-  serialise on the GIL, so it only helps when the predictor releases
-  the GIL (large BLAS calls) or blocks on I/O.
-* ``"process"`` — a ``ProcessPoolExecutor`` whose workers rebuild the
-  predictor locally from its picklable
+* ``"thread"`` (default) — each flush is one inline ``predict_batch``
+  call on the flushing thread. This mode has exactly one worker:
+  ``n_workers > 1`` raises ``ValueError``, because CPU-bound einsum
+  scans serialise on the GIL and an in-process thread pool measured
+  below a single worker.
+* ``"process"`` — a ``ProcessPoolExecutor`` of ``n_workers`` workers.
+  Each flush is split into up to ``n_workers`` sub-batches —
+  contiguous slices, or whatever the predictor's optional
+  ``partition_batch`` hook returns (the router partitions by task) —
+  dispatched concurrently and reassembled in submission order. The
+  workers rebuild the predictor locally from its picklable
   :class:`~repro.serving.worker.WorkerSpec` (artifact directory +
-  backend + sharding + quantized flag), memory-mapping the artifacts
-  npz so all workers share one set of weight pages. Only encoded
-  sub-batch arrays cross the pipe (via the predictor's
-  ``worker_payload`` hook); stacked result arrays come back and are
-  decoded parent-side by ``worker_decode`` — the same decode the
-  thread path uses, so responses are bit-identical between modes.
-  Requires an artifact-backed predictor; the pool exists even at
+  backend + quantized flag), memory-mapping the artifacts npz so all
+  workers share one set of weight pages. Only encoded sub-batch arrays
+  cross the pipe (via the predictor's ``worker_payload`` hook);
+  stacked result arrays come back and are decoded parent-side by
+  ``worker_decode`` — the same decode the inline path uses, so
+  responses are bit-identical between modes. Requires an
+  artifact-backed predictor; the pool exists even at
   ``n_workers == 1`` (execution is still out-of-process).
 
 All timestamps (submission, deadlines, latencies, per-flush service
@@ -99,7 +99,7 @@ numbers line up and tests can swap in a
 :class:`~repro.serving.clock.ManualClock`. Per-request latency,
 per-flush batch sizes, sub-batch counts and service times are recorded
 in :class:`~repro.serving.api.ServingStats` — the numbers
-``benchmarks/test_bench_sharding.py`` and
+``benchmarks/test_bench_workers.py`` and
 ``benchmarks/test_bench_frontend.py`` turn into scaling/goodput
 curves.
 """
@@ -107,24 +107,14 @@ curves.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from repro.serving.api import (
-    DeadlineExceededError,
-    OverloadError,
-    Predictor,
-    QueryRequest,
-    QueryResponse,
-    ServingStats,
-)
+from repro.serving.api import Predictor, QueryRequest, QueryResponse, ServingStats
 from repro.serving.clock import MONOTONIC, Clock
 from repro.serving.errors import (
+    DeadlineExceededError,
+    OverloadError,
     SchedulerClosedError,
     ServingError,
     WorkerCrashError,
@@ -186,9 +176,9 @@ class BatchScheduler:
     :class:`~repro.serving.api.Predictor` protocol. With
     ``start_worker=False`` no deadline thread is spawned and flushes
     happen only on max-batch, ``flush()`` or ``close()`` — fully
-    deterministic, the mode the unit tests use (the flush *pool* is
-    still used when ``n_workers > 1``; ``_execute`` blocks until its
-    sub-batches finish, so determinism is preserved).
+    deterministic, the mode the unit tests use (in process mode
+    ``_execute`` blocks until its sub-batches finish, so determinism is
+    preserved).
 
     ``inline_flush=False`` moves the max-batch flush off the submitting
     caller onto the deadline thread — the asyncio frontend uses it so a
@@ -227,6 +217,11 @@ class BatchScheduler:
             raise ValueError(
                 f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}"
             )
+        if worker_mode == "thread" and n_workers != 1:
+            raise ValueError(
+                "worker_mode='thread' flushes inline on one worker; "
+                "n_workers > 1 needs worker_mode='process'"
+            )
         if overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(
                 f"overload_policy must be one of {OVERLOAD_POLICIES}, "
@@ -260,8 +255,8 @@ class BatchScheduler:
         self._room_callbacks: list = []
         # FIFO tickets: assigned at dequeue time (under _cond, where
         # submission order is defined), retired when the flush is done.
-        # The inline single-worker path executes in ticket order, which
-        # pins completion order = dequeue order = submission order.
+        # The inline path executes in ticket order, which pins
+        # completion order = dequeue order = submission order.
         self._ticket_cond = threading.Condition()
         self._next_ticket = 0
         self._now_serving = 0
@@ -277,6 +272,7 @@ class BatchScheduler:
         # max_pool_rebuilds (guarded by _pool_cond like _pool itself).
         self._pool_specs = None
         self._pool_rebuilds = 0
+        self._pool: ProcessPoolExecutor | None = None
         if worker_mode == "process":
             # Fail at construction, not at first flush: process mode
             # needs a predictor that can describe itself as WorkerSpecs.
@@ -291,15 +287,6 @@ class BatchScheduler:
             # exists for every n_workers in this mode.
             self._pool_specs = specs_hook()
             self._pool = self._make_process_pool()
-        else:
-            self._pool = (
-                ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    thread_name_prefix="BatchSchedulerWorker",
-                )
-                if self.n_workers > 1
-                else None
-            )
         self._worker: threading.Thread | None = None
         if start_worker:
             self._worker = threading.Thread(
@@ -313,14 +300,14 @@ class BatchScheduler:
 
         At a full bounded queue the call blocks for room under
         ``overload_policy="block"`` and raises
-        :class:`~repro.serving.api.OverloadError` under the shed
+        :class:`~repro.serving.errors.OverloadError` under the shed
         policies (after evicting expired entries, for "shed-expired").
         """
         return self._submit(request, may_block=True)
 
     def submit_nowait(self, request: QueryRequest) -> "Future[QueryResponse]":
         """Like :meth:`submit`, but never blocks for queue room: a full
-        queue raises :class:`~repro.serving.api.OverloadError` under
+        queue raises :class:`~repro.serving.errors.OverloadError` under
         every policy (the asyncio frontend's admission primitive —
         combined with :meth:`add_room_callback` it awaits room without
         holding any thread)."""
@@ -536,8 +523,8 @@ class BatchScheduler:
 
     def _await_turn(self, ticket: int) -> None:
         """Block until every earlier ticket has retired — the inline
-        path's FIFO-completion fence (pooled flushes skip it: sub-batch
-        concurrency is their point)."""
+        path's FIFO-completion fence (process flushes skip it:
+        sub-batch concurrency is their point)."""
         with self._ticket_cond:
             while self._now_serving < ticket:
                 self._ticket_cond.wait()
@@ -598,7 +585,7 @@ class BatchScheduler:
         return due
 
     def _partition(self, batch: list[_Pending]) -> list[list[_Pending]]:
-        """Split a flush into sub-batches for the worker pool.
+        """Split a flush into sub-batches for the process pool.
 
         Uses the predictor's task-aware ``partition_batch`` hook when
         present (so mixed-task flushes are not split mid-task),
@@ -743,7 +730,7 @@ class BatchScheduler:
             pool = self._acquire_pool()
             started = self.clock.now()
             if pool is None:
-                # Single-worker mode, or close() already retired the
+                # Thread mode, or close() already retired the process
                 # pool out from under a racing max-batch flush: answer
                 # inline so the RUNNING futures resolve instead of
                 # stranding. Ticket order makes completion FIFO here.
@@ -753,7 +740,7 @@ class BatchScheduler:
                 with self._stats_lock:
                     self.stats.record_flush(
                         len(batch),
-                        n_shards=1,
+                        sub_batches=1,
                         service_s=self.clock.now() - started,
                     )
                 self._sync_cache_stats()
@@ -768,14 +755,11 @@ class BatchScheduler:
                     # deadline thread.
                     self._fail_chunk(batch, error)
                     return
-                if self.worker_mode == "process":
-                    self._execute_process(pool, chunks)
-                else:
-                    self._execute_threads(pool, chunks)
+                self._execute_process(pool, chunks)
                 with self._stats_lock:
                     self.stats.record_flush(
                         len(batch),
-                        n_shards=len(chunks),
+                        sub_batches=len(chunks),
                         service_s=self.clock.now() - started,
                     )
                 self._sync_cache_stats()
@@ -795,23 +779,6 @@ class BatchScheduler:
             return
         with self._stats_lock:
             self.stats.set_cache_counters(*counters)
-
-    def _execute_threads(self, pool, chunks: list[list[_Pending]]) -> None:
-        submitted = []
-        failure = None
-        for chunk in chunks[1:]:
-            if failure is None:
-                try:
-                    submitted.append(pool.submit(self._run_chunk, chunk))
-                    continue
-                except Exception as error:  # e.g. a broken executor
-                    failure = error
-            self._fail_chunk(chunk, failure)
-        # The flushing thread works one sub-batch itself instead of
-        # idling — with W workers a flush occupies W threads, not W+1.
-        self._run_chunk(chunks[0])
-        for future in submitted:
-            future.result()  # _run_chunk never raises; propagate crashes
 
     def _execute_process(self, pool, chunks: list[list[_Pending]]) -> None:
         """Ship each sub-batch's encoded arrays to a worker process.
@@ -933,9 +900,9 @@ class BatchScheduler:
             pending.future.set_result(replace(response, latency_s=latency))
 
     def _run_chunk(self, chunk: list[_Pending]) -> None:
-        """Answer one sub-batch, resolving its futures in order.
+        """Answer one batch inline, resolving its futures in order.
 
-        The thread/inline twin of the process path's recovery:
+        The inline twin of the process path's recovery:
         transient predictor failures are replayed per ``retry_policy``
         (predictions are pure, so the replay is bit-identical); the
         final failure resolves the sub-batch's futures instead of

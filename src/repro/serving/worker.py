@@ -1,14 +1,13 @@
 """Process-worker side of ``BatchScheduler(worker_mode="process")``.
 
-The thread pool cannot speed up CPU-bound einsum scans (the GIL
-serialises them — BENCH_serving.json recorded the pool *losing* to a
-single worker), so the process mode runs each flush sub-batch in a
+In-process threads cannot speed up CPU-bound einsum scans (the GIL
+serialises them), so the process mode runs each flush sub-batch in a
 ``ProcessPoolExecutor``. This module is everything that crosses the
 process boundary:
 
 * :class:`WorkerSpec` — a picklable recipe for one predictor: artifact
-  directory + backend name + sharding + quantized flag + backend
-  params. Specs travel once, at pool construction.
+  directory + backend name + quantized flag + backend params. Specs
+  travel once, at pool construction.
 * :func:`initialize_worker` — the pool initializer. Each worker process
   builds its predictors locally from the specs, loading the artifacts
   npz **once, zero-copy** via ``load_suite(..., mmap=True)`` — every
@@ -20,7 +19,7 @@ process boundary:
   the worker answers with stacked label/logit/comparison/early-exit
   arrays. Decoding back into :class:`~repro.serving.api.QueryResponse`
   objects happens parent-side through the predictor's ``worker_decode``
-  hook, with exactly the code path the thread mode uses — which is why
+  hook, with exactly the code path the inline mode uses — which is why
   the two modes are bit-identical.
 
 Workers keep a process-local cache keyed by spec, so a worker that
@@ -46,17 +45,14 @@ class WorkerSpec:
     """Everything a worker process needs to rebuild one predictor.
 
     Only primitives cross the pipe: the artifact *directory path* (not
-    the arrays), the MIPS backend name, the sharding knobs, the
-    quantized flag and the backend build params as a sorted tuple of
-    ``(name, value)`` pairs — hashable, so specs key the worker-side
-    predictor cache directly.
+    the arrays), the MIPS backend name, the quantized flag and the
+    backend build params as a sorted tuple of ``(name, value)`` pairs —
+    hashable, so specs key the worker-side predictor cache directly.
     """
 
     artifacts: str
     task_id: int
     mips_backend: str = "exact"
-    shards: int | None = None
-    shard_axis: str = "batch"
     quantized: bool = False
     cache_entries: int | None = None
     cache_bytes: int | None = None
@@ -82,8 +78,6 @@ def worker_predictor(spec: WorkerSpec):
             spec.task_id,
             device="sw",
             mips_backend=spec.mips_backend,
-            shards=spec.shards,
-            shard_axis=spec.shard_axis,
             quantized=spec.quantized,
             cache_entries=spec.cache_entries,
             cache_bytes=spec.cache_bytes,

@@ -4,7 +4,7 @@ The cache's whole value proposition is "skip Eqs. 1-2 and nobody can
 tell": every label, logit, comparison count and early-exit flag must be
 bit-identical whether a story's memory was computed this flush, served
 from the cache, or deduped within the flush — across every MIPS
-backend, both shard axes and both scheduler worker modes. The rest of
+backend and both scheduler worker modes. The rest of
 the module pins the cache mechanics themselves: LRU order, byte bounds,
 within-flush dedupe and the hash-collision guard.
 """
@@ -70,33 +70,15 @@ class TestGoldenParityMatrix:
     """cached == uncached, cold and hot, across the whole matrix."""
 
     @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    @pytest.mark.parametrize(
-        "backend, shards, shard_axis",
-        [
-            ("exact", None, "batch"),
-            ("threshold", None, "batch"),
-            ("alsh", 2, "batch"),
-            ("clustering", 2, "batch"),
-            ("exact", 3, "vocab"),
-            ("threshold", 3, "vocab"),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["exact", "threshold", "alsh", "clustering"])
     def test_bit_identical_cold_and_hot(
-        self,
-        tiny_suite,
-        artifacts_dir,
-        backend,
-        shards,
-        shard_axis,
-        worker_mode,
+        self, tiny_suite, artifacts_dir, backend, worker_mode
     ):
         requests = _suite_requests(tiny_suite)
         kwargs = dict(
             mips_backend=backend,
-            shards=shards,
-            shard_axis=shard_axis,
             seed=0,
-            n_workers=2,
+            n_workers=2 if worker_mode == "process" else 1,
             worker_mode=worker_mode,
         )
         baseline, replay, _ = _serve_twice(artifacts_dir, requests, **kwargs)
@@ -297,11 +279,11 @@ class TestServingStatsReservoir:
         assert stats.mean_latency_s == pytest.approx((n - 1) / 2)  # exact sum
         assert stats.max_latency_s == float(n - 1)  # exact max
         for _ in range(n):
-            stats.record_flush(8, n_shards=2)
+            stats.record_flush(8, sub_batches=2)
         assert len(stats.batch_sizes) == ServingStats.RESERVOIR_CAPACITY
         assert stats.requests == 8 * n
         assert stats.mean_batch_size == 8.0
-        assert stats.mean_shards_per_flush == 2.0
+        assert stats.mean_sub_batches_per_flush == 2.0
 
     def test_percentiles_exact_below_capacity(self):
         stats = ServingStats()
@@ -316,10 +298,10 @@ class TestServingStatsReservoir:
         """Below the reservoir capacity the series are the full data —
         the compatibility contract existing tests rely on."""
         stats = ServingStats()
-        stats.record_flush(4, n_shards=3)
+        stats.record_flush(4, sub_batches=3)
         stats.record_latencies([0.25, 0.5])
         assert stats.batch_sizes == [4]
-        assert stats.shards_per_flush == [3]
+        assert stats.sub_batches_per_flush == [3]
         assert stats.latencies_s == [0.25, 0.5]
 
     def test_cache_counter_mirror(self):

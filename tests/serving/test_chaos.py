@@ -7,7 +7,7 @@ Unit half: :class:`FaultPlan` decisions are a pure function of
 Acceptance half (the matrix at the end): with faults injected *and
 recovered from* — including real worker-process kills — the served
 responses are bit-identical to a fault-free run, across all four MIPS
-backends, both shard axes and both worker modes. Recovery replays the
+backends and both worker modes. Recovery replays the
 exact sub-batch, so chaos must be observable only in the stats.
 """
 
@@ -235,38 +235,18 @@ class TestRecoveryParityMatrix:
         return responses, stats
 
     @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    @pytest.mark.parametrize(
-        "backend, shards, shard_axis",
-        [
-            ("alsh", 2, "batch"),
-            ("clustering", 2, "batch"),
-            ("exact", 2, "batch"),
-            ("threshold", 2, "batch"),
-            ("exact", 3, "vocab"),
-            ("threshold", 3, "vocab"),
-            ("exact", None, "batch"),
-            ("threshold", None, "batch"),
-        ],
-    )
+    @pytest.mark.parametrize("backend", ["alsh", "clustering", "exact", "threshold"])
     def test_recovered_responses_bit_identical(
-        self,
-        tiny_suite,
-        artifacts_dir,
-        backend,
-        shards,
-        shard_axis,
-        worker_mode,
+        self, tiny_suite, artifacts_dir, backend, worker_mode
     ):
         requests = _suite_requests(tiny_suite)
-        kwargs = dict(
-            mips_backend=backend, shards=shards, shard_axis=shard_axis,
-            seed=0, n_workers=2,
-        )
+        kwargs = dict(mips_backend=backend, seed=0)
         baseline, _ = self._serve(artifacts_dir, requests, **kwargs)
         recovered, stats = self._serve(
             artifacts_dir,
             requests,
             worker_mode=worker_mode,
+            n_workers=2 if worker_mode == "process" else 1,
             chaos_plan=FaultPlan(schedule=self.SCHEDULE),
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
             **kwargs,

@@ -13,7 +13,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.serving import api
 from repro.serving.chaos import InjectedFaultError
 from repro.serving.errors import (
     TRANSIENT_ERRORS,
@@ -83,9 +82,3 @@ class TestHierarchy:
     def test_injected_fault_is_a_worker_crash(self):
         """Chaos faults ride the same retry path as real worker deaths."""
         assert issubclass(InjectedFaultError, WorkerCrashError)
-
-    def test_api_reexports_are_the_same_objects(self):
-        """Legacy ``repro.serving.api`` imports resolve to the errors
-        module's classes — one type, two import paths."""
-        assert api.OverloadError is OverloadError
-        assert api.DeadlineExceededError is DeadlineExceededError

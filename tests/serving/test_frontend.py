@@ -143,6 +143,11 @@ class TestAsyncBridge:
 
         assert asyncio.run(run()).label == 0
 
+    def test_open_rejects_thread_worker_pool(self, artifacts_dir):
+        """Thread mode flushes inline; n_workers > 1 needs processes."""
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            AsyncFrontend.open(str(artifacts_dir), n_workers=2)
+
     def test_default_deadline_validation(self):
         with pytest.raises(ValueError, match="positive"):
             AsyncFrontend(object(), default_deadline_s=0.0)
@@ -335,10 +340,9 @@ def _open_router(artifacts_dir, n_requests, worker_mode, backend):
     return ModelRouter.open(
         artifacts_dir,
         mips_backend=backend,
-        shards=2,
         seed=0,
         max_batch=n_requests,
-        n_workers=2,
+        n_workers=2 if worker_mode == "process" else 1,
         worker_mode=worker_mode,
         start_worker=False,
     )

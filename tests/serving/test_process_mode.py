@@ -1,10 +1,11 @@
-"""Process-pool flush execution: bit-identical to the thread mode.
+"""Process-pool flush execution: bit-identical to the inline mode.
 
 The contract `worker_mode="process"` ships on: worker processes rebuild
 each route from its picklable :class:`WorkerSpec` over memory-mapped
 artifacts, receive only encoded arrays, and the decoded responses match
-the thread mode **bit-identically** — across every backend and both
-shard axes (including the threshold scan's vocab axis).
+the inline thread mode **bit-identically** — across every backend. The
+pool's flush mechanics (partition hook, close under load, FIFO dequeue)
+are pinned in ``test_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -64,31 +65,13 @@ def _assert_identical_responses(thread, process):
 
 
 class TestParityMatrix:
-    """worker_mode="process" == worker_mode="thread", whole matrix."""
+    """worker_mode="process" == worker_mode="thread", every backend."""
 
-    @pytest.mark.parametrize(
-        "backend, shards, shard_axis",
-        [
-            ("alsh", 2, "batch"),
-            ("clustering", 2, "batch"),
-            ("exact", 2, "batch"),
-            ("threshold", 2, "batch"),
-            ("exact", 3, "vocab"),
-            ("threshold", 3, "vocab"),
-            ("exact", None, "batch"),
-            ("threshold", None, "batch"),
-        ],
-    )
-    def test_bit_identical_to_thread_mode(
-        self, tiny_suite, artifacts_dir, backend, shards, shard_axis
-    ):
+    @pytest.mark.parametrize("backend", ["alsh", "clustering", "exact", "threshold"])
+    def test_bit_identical_to_thread_mode(self, tiny_suite, artifacts_dir, backend):
         requests = _suite_requests(tiny_suite)
-        kwargs = dict(
-            mips_backend=backend, shards=shards, shard_axis=shard_axis, seed=0
-        )
-        thread, _ = _serve(
-            artifacts_dir, requests, n_workers=2, worker_mode="thread", **kwargs
-        )
+        kwargs = dict(mips_backend=backend, seed=0)
+        thread, _ = _serve(artifacts_dir, requests, **kwargs)
         process, (n_requests, route_stats) = _serve(
             artifacts_dir, requests, n_workers=2, worker_mode="process", **kwargs
         )
@@ -123,7 +106,7 @@ class TestParityMatrix:
             )
             assert router.stats.flushes >= 1
             assert len(router.stats.latencies_s) == len(requests)
-            assert all(n >= 1 for n in router.stats.shards_per_flush)
+            assert all(n >= 1 for n in router.stats.sub_batches_per_flush)
 
 
 class TestSchedulerProcessMode:
@@ -199,17 +182,13 @@ class TestSchedulerProcessMode:
 class TestWorkerSpec:
     def test_pickle_round_trip(self, artifacts_dir):
         predictor = open_predictor(
-            artifacts_dir, 6, mips_backend="threshold",
-            shards=2, shard_axis="vocab", rho=0.9,
+            artifacts_dir, 6, mips_backend="threshold", rho=0.9
         )
         (spec,) = predictor.worker_specs()
         assert spec == pickle.loads(pickle.dumps(spec))
         assert spec.artifacts == str(artifacts_dir)
         assert spec.task_id == 6
-        # The spec records the caller's backend, not the internal
-        # "sharded:" rewrite the shards shorthand applies.
         assert spec.mips_backend == "threshold"
-        assert spec.shards == 2 and spec.shard_axis == "vocab"
         assert dict(spec.params)["rho"] == 0.9
 
     def test_router_collects_all_routes(self, artifacts_dir):

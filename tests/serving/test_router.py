@@ -39,6 +39,11 @@ class TestOpen:
         ) as router:
             assert router.tasks == [1]
 
+    def test_thread_mode_rejects_worker_pool(self, tiny_suite):
+        """Thread mode flushes inline; n_workers > 1 needs processes."""
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            ModelRouter.open(tiny_suite, n_workers=2, start_worker=False)
+
     def test_rejects_empty_and_garbage(self):
         with pytest.raises(ValueError, match="route"):
             ModelRouter({})
@@ -58,7 +63,7 @@ class TestRouting:
         }
         expected = [direct[r.task].predict(r) for r in requests]
         with ModelRouter.open(
-            tiny_suite, n_workers=4, max_batch=8, max_wait_s=0.005
+            tiny_suite, max_batch=8, max_wait_s=0.005
         ) as router:
             futures = [router.submit(r) for r in requests]
             answered = [f.result(timeout=10.0) for f in futures]
@@ -137,16 +142,3 @@ class TestPartitioning:
         assert flat == list(range(20))
         for group in groups:
             assert len({requests[i].task for i in group}) == 1
-
-    def test_sharded_routes_preserve_parity(self, tiny_suite):
-        requests = [_request(tiny_suite, 1, i) for i in range(10)]
-        plain = ModelRouter.open(tiny_suite, tasks=[1], start_worker=False)
-        sharded = ModelRouter.open(
-            tiny_suite, tasks=[1], shards=4, start_worker=False
-        )
-        with plain, sharded:
-            a = plain.predict_batch(requests)
-            b = sharded.predict_batch(requests)
-        assert [r.label for r in a] == [r.label for r in b]
-        assert [r.logit for r in a] == [r.logit for r in b]
-        assert [r.comparisons for r in a] == [r.comparisons for r in b]

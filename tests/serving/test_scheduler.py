@@ -2,7 +2,9 @@
 
 A stub keeps these tests fast and deterministic: the scheduler only
 needs the ``predict_batch`` protocol, and real-engine equivalence is
-covered at the end against the tiny trained suite.
+covered against the tiny trained suite. The process worker pool's
+flush mechanics run on a router over the suite's saved artifacts,
+because its workers rebuild their routes from disk.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.serving import (
     BatchScheduler,
     DeadlineExceededError,
     ManualClock,
+    ModelRouter,
     OverloadError,
     QueryRequest,
     QueryResponse,
@@ -168,89 +171,12 @@ class TestWorker:
         assert [f.result(timeout=1.0).label for f in futures] == list(range(5))
         scheduler.close()  # idempotent
 
-
-class TestWorkerPool:
-    """Flush execution on the n_workers pool: sub-batch dispatch,
-    submission-order reassembly, and Future semantics under load."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            BatchScheduler(StubPredictor(), n_workers=0, start_worker=False)
-
-    def test_flush_splits_into_sub_batches(self):
-        stub = StubPredictor()
-        scheduler = BatchScheduler(
-            stub, max_batch=16, n_workers=4, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(16)]
-        # The max-batch flush ran as 4 concurrent sub-batches of 4.
-        assert sorted(stub.flush_sizes) == [4, 4, 4, 4]
-        assert [f.result().label for f in futures] == list(range(16))
-        assert scheduler.stats.flushes == 1
-        assert scheduler.stats.batch_sizes == [16]
-        assert scheduler.stats.shards_per_flush == [4]
-        scheduler.close()
-
-    def test_partition_hook_used_when_present(self):
-        class PartitioningStub(StubPredictor):
-            def partition_batch(self, requests, n):
-                # Odd/even split — any index cover must be honoured.
-                return [
-                    [i for i in range(len(requests)) if i % 2 == 0],
-                    [i for i in range(len(requests)) if i % 2 == 1],
-                ]
-
-        stub = PartitioningStub()
-        scheduler = BatchScheduler(
-            stub, max_batch=8, n_workers=2, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(8)]
-        assert sorted(stub.flush_sizes) == [4, 4]
-        assert [f.result().label for f in futures] == list(range(8))
-        scheduler.close()
-
-    def test_partition_hook_error_resolves_futures(self):
-        """A raising partition hook must fail the flush's futures, not
-        strand them RUNNING (and not kill the deadline thread)."""
-
-        class BrokenHook(StubPredictor):
-            def partition_batch(self, requests, n):
-                raise KeyError("unroutable task")
-
-        scheduler = BatchScheduler(
-            BrokenHook(), max_batch=4, n_workers=2, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(4)]
-        for future in futures:
-            assert isinstance(future.exception(timeout=1.0), KeyError)
-        scheduler.close()
-
-    def test_sub_batch_error_is_contained(self):
-        """A failing sub-batch poisons only its own futures."""
-
-        class HalfBroken(StubPredictor):
-            def predict_batch(self, requests):
-                if any(int(r.request_id) >= 4 for r in requests):
-                    raise RuntimeError("shard down")
-                return super().predict_batch(requests)
-
-        scheduler = BatchScheduler(
-            HalfBroken(), max_batch=8, n_workers=2, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(8)]
-        assert [f.result().label for f in futures[:4]] == [0, 1, 2, 3]
-        for future in futures[4:]:
-            assert isinstance(future.exception(), RuntimeError)
-        scheduler.close()
-
     def test_stress_concurrent_submitters_with_cancellations(self):
-        """The satellite stress contract: many submitters + mixed
+        """The stress contract: many submitters + mixed
         cancellations, no lost or duplicated futures, every response
         mapped to its own request."""
         stub = StubPredictor()
-        scheduler = BatchScheduler(
-            stub, max_batch=16, max_wait_s=0.002, n_workers=4
-        )
+        scheduler = BatchScheduler(stub, max_batch=16, max_wait_s=0.002)
         n_clients, per_client = 8, 50
         futures: dict[int, object] = {}
         cancelled: set[int] = set()
@@ -295,112 +221,7 @@ class TestWorkerPool:
         # No duplicated execution: the predictor saw each request once.
         assert sum(stub.flush_sizes) == total - len(cancelled)
         assert scheduler.stats.requests == total - len(cancelled)
-        assert all(n >= 1 for n in scheduler.stats.shards_per_flush)
-
-    def test_cancel_between_submit_and_flush_on_pool_path(self):
-        """Cancellation must be honoured by the pooled flush too: the
-        cancelled requests drop out before partitioning, the rest
-        resolve normally across the sub-batches."""
-        stub = StubPredictor()
-        scheduler = BatchScheduler(
-            stub, max_batch=8, n_workers=2, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(6)]
-        assert futures[2].cancel()
-        assert futures[5].cancel()
-        scheduler.flush()
-        for i, future in enumerate(futures):
-            if i in (2, 5):
-                assert future.cancelled()
-            else:
-                assert future.result(timeout=1.0).label == i
-        assert sum(stub.flush_sizes) == 4  # cancelled requests never ran
-        scheduler.close()
-
-    def test_partition_hook_non_contiguous_permutation(self):
-        """A hook returning a valid but non-contiguous index cover
-        (strided groups) must still map every response to its own
-        request."""
-
-        class StridedStub(StubPredictor):
-            def partition_batch(self, requests, n):
-                return [list(range(k, len(requests), 3)) for k in range(3)]
-
-        stub = StridedStub()
-        scheduler = BatchScheduler(
-            stub, max_batch=9, n_workers=3, start_worker=False
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(9)]
-        assert sorted(stub.flush_sizes) == [3, 3, 3]
-        assert [f.result(timeout=1.0).label for f in futures] == list(range(9))
-        scheduler.close()
-
-    def test_close_under_load_strands_nothing(self):
-        """Regression for the close/flush race: close() used to null
-        the pool while a submitter's max-batch flush was mid-_execute,
-        crashing the flushing thread (AttributeError) and stranding its
-        already-RUNNING futures. Under submit/close contention every
-        accepted future must end resolved or cancelled."""
-        for _ in range(15):
-            stub = StubPredictor()
-            scheduler = BatchScheduler(
-                stub, max_batch=4, n_workers=3, start_worker=False
-            )
-            futures: list = []
-            lock = threading.Lock()
-            errors: list = []
-
-            def client(base: int):
-                try:
-                    for i in range(base, base + 40):
-                        try:
-                            future = scheduler.submit(_request(i))
-                        except RuntimeError:
-                            return  # scheduler closed — the only legal refusal
-                        with lock:
-                            futures.append((i, future))
-                except Exception as error:  # pragma: no cover - the bug
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=client, args=(k * 100,))
-                for k in range(4)
-            ]
-            for t in threads:
-                t.start()
-            scheduler.close()  # races the submitters' max-batch flushes
-            for t in threads:
-                t.join()
-            scheduler.close()  # idempotent after the storm
-            assert not errors
-            for i, future in futures:
-                if not future.cancelled():
-                    assert future.result(timeout=5.0).label == i
-
-    def test_real_predictor_pool_matches_single_worker(self, tiny_suite):
-        """n_workers > 1 must not change any answer on a real engine."""
-        batch = tiny_suite.tasks[1].test_batch
-        predictor = open_predictor(tiny_suite, 1, mips_backend="threshold")
-        requests = [
-            QueryRequest(
-                batch.stories[i],
-                batch.questions[i],
-                int(batch.story_lengths[i]),
-                request_id=i,
-            )
-            for i in range(len(batch))
-        ]
-        with BatchScheduler(
-            predictor, max_batch=len(requests), n_workers=3, start_worker=False
-        ) as pooled:
-            futures = [pooled.submit(r) for r in requests]
-            pooled.flush()
-            answers = [f.result(timeout=10.0) for f in futures]
-        direct = predictor.predict_batch(requests)
-        assert [r.label for r in answers] == [r.label for r in direct]
-        assert [r.comparisons for r in answers] == [
-            r.comparisons for r in direct
-        ]
+        assert set(scheduler.stats.sub_batches_per_flush) == {1}
 
 
 class TestWithRealPredictor:
@@ -420,6 +241,143 @@ class TestWithRealPredictor:
         assert [r.comparisons for r in scheduled] == [r.comparisons for r in direct]
         assert scheduler.stats.requests == len(batch)
         assert scheduler.stats.mean_batch_size > 1.0
+
+
+def _numbered_requests(suite, n: int, task: int = 1):
+    """``n`` requests cycling through one task's test stories, with
+    ``request_id`` equal to the submission index."""
+    batch = suite.tasks[task].test_batch
+    return [
+        QueryRequest(
+            batch.stories[i % len(batch)],
+            batch.questions[i % len(batch)],
+            n_sentences=int(batch.story_lengths[i % len(batch)]),
+            request_id=i,
+            task=task,
+        )
+        for i in range(n)
+    ]
+
+
+def _pool_router(artifacts_dir, **kwargs):
+    """A one-route router whose flushes run on the process pool."""
+    kwargs.setdefault("start_worker", False)
+    return ModelRouter.open(
+        artifacts_dir, tasks=[1], worker_mode="process", **kwargs
+    )
+
+
+def _inline_responses(artifacts_dir, requests):
+    with ModelRouter.open(
+        artifacts_dir, tasks=[1], max_batch=len(requests), start_worker=False
+    ) as router:
+        futures = [router.submit(r) for r in requests]
+        router.flush()
+        return [f.result(timeout=60.0) for f in futures]
+
+
+def _assert_same_answers(expected, got):
+    assert [r.request_id for r in got] == [r.request_id for r in expected]
+    assert [r.label for r in got] == [r.label for r in expected]
+    assert [r.logit for r in got] == [r.logit for r in expected]  # bitwise
+
+
+class TestWorkerPool:
+    """Flush execution on the process worker pool: partition-hook
+    dispatch, failure containment and close races. Thread mode has no
+    pool: it flushes inline on one worker."""
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            BatchScheduler(StubPredictor(), n_workers=0, start_worker=False)
+        with pytest.raises(ValueError, match="worker_mode='process'"):
+            BatchScheduler(StubPredictor(), n_workers=2, start_worker=False)
+
+    def test_partition_hook_used_when_present(self, tiny_suite, artifacts_dir):
+        requests = _numbered_requests(tiny_suite, 8)
+        inline = _inline_responses(artifacts_dir, requests)
+        with _pool_router(artifacts_dir, max_batch=8, n_workers=2) as router:
+            # Odd/even split — any index cover must be honoured.
+            router.scheduler.predictor.partition_batch = lambda reqs, n: [
+                list(range(k, len(reqs), 2)) for k in range(2)
+            ]
+            futures = [router.submit(r) for r in requests]
+            pooled = [f.result(timeout=60.0) for f in futures]
+            assert router.stats.sub_batches_per_flush == [2]
+            assert router.route_stats[1].batch_sizes == [4, 4]
+        _assert_same_answers(inline, pooled)
+
+    def test_partition_hook_non_contiguous_permutation(
+        self, tiny_suite, artifacts_dir
+    ):
+        """A hook returning a valid but non-contiguous index cover
+        (strided groups) must still map every response to its own
+        request."""
+        requests = _numbered_requests(tiny_suite, 9)
+        inline = _inline_responses(artifacts_dir, requests)
+        with _pool_router(artifacts_dir, max_batch=9, n_workers=3) as router:
+            router.scheduler.predictor.partition_batch = lambda reqs, n: [
+                list(range(k, len(reqs), 3)) for k in range(3)
+            ]
+            futures = [router.submit(r) for r in requests]
+            pooled = [f.result(timeout=60.0) for f in futures]
+            assert router.stats.sub_batches_per_flush == [3]
+        _assert_same_answers(inline, pooled)
+
+    def test_partition_hook_error_resolves_futures(
+        self, tiny_suite, artifacts_dir
+    ):
+        """A raising partition hook must fail the flush's futures, not
+        strand them RUNNING (and not kill the deadline thread)."""
+
+        def broken(requests, n):
+            raise KeyError("unroutable task")
+
+        with _pool_router(artifacts_dir, max_batch=4, n_workers=2) as router:
+            router.scheduler.predictor.partition_batch = broken
+            futures = [
+                router.submit(r) for r in _numbered_requests(tiny_suite, 4)
+            ]
+            for future in futures:
+                assert isinstance(future.exception(timeout=60.0), KeyError)
+
+    def test_close_under_load_strands_nothing(self, tiny_suite, artifacts_dir):
+        """Regression for the close/flush race: close() must not retire
+        the pool while a submitter's max-batch flush is mid-_execute.
+        Under submit/close contention every accepted future must end
+        resolved or cancelled."""
+        requests = _numbered_requests(tiny_suite, 160)
+        for _ in range(3):
+            router = _pool_router(artifacts_dir, max_batch=4, n_workers=2)
+            futures: list = []
+            lock = threading.Lock()
+            errors: list = []
+
+            def client(base: int):
+                try:
+                    for request in requests[base : base + 40]:
+                        try:
+                            future = router.submit(request)
+                        except RuntimeError:
+                            return  # scheduler closed — the only legal refusal
+                        with lock:
+                            futures.append((request.request_id, future))
+                except Exception as error:  # pragma: no cover - the bug
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=client, args=(k * 40,)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            router.close()  # races the submitters' max-batch flushes
+            for t in threads:
+                t.join()
+            router.close()  # idempotent after the storm
+            assert not errors
+            for i, future in futures:
+                if not future.cancelled():
+                    assert future.result(timeout=60.0).request_id == i
 
 
 class OrderRecordingStub:
@@ -450,8 +408,8 @@ class TestFifoOrdering:
     """Regression for the flush()/deadline-thread/max-batch race.
 
     The documented guarantee: dequeue is strictly FIFO (every flush is
-    a contiguous head slice of the pending queue), and on the
-    single-worker inline path flushes also *complete* in dequeue order.
+    a contiguous head slice of the pending queue), and on the inline
+    path flushes also *complete* in dequeue order.
     Before the dequeue-time ticketing fix, two concurrent ``_execute``
     calls could acquire the execution lock out of order and complete
     newer requests before older ones.
@@ -487,24 +445,50 @@ class TestFifoOrdering:
         )
         batches = self._hammer(scheduler, stub)
         completed = [i for batch in batches for i in batch]
-        # Single-worker inline path: ticket order pins completion order
+        # Inline path: ticket order pins completion order
         # to submission order even with 6 racing flushers.
         assert completed == list(range(self.N))
 
-    def test_pooled_dequeue_is_fifo_contiguous(self):
-        stub = OrderRecordingStub()
-        scheduler = BatchScheduler(
-            stub, max_batch=4, max_wait_s=0.0, start_worker=True, n_workers=2
+    def test_pooled_dequeue_is_fifo_contiguous(self, tiny_suite, artifacts_dir):
+        """Process-pool sub-batches complete in any order by design,
+        but every dequeue is a contiguous run of requests in submission
+        order — with the deadline thread and four racing flushers."""
+        n = 120
+        requests = _numbered_requests(tiny_suite, n)
+        router = _pool_router(
+            artifacts_dir, max_batch=4, max_wait_s=0.0, n_workers=2,
+            start_worker=True,
         )
-        batches = self._hammer(scheduler, stub)
-        # Pooled sub-batches complete in any order by design, but every
-        # dequeue is a contiguous run of ids in submission order.
-        for batch in batches:
-            first = batch[0]
-            assert batch == list(range(first, first + len(batch)))
-        assert sorted(i for batch in batches for i in batch) == list(
-            range(self.N)
-        )
+        dispatch = router.scheduler.predictor
+        partition = dispatch.partition_batch
+        dequeues: list = []
+
+        def recording(reqs, k):
+            dequeues.append([r.request_id for r in reqs])
+            return partition(reqs, k)
+
+        dispatch.partition_batch = recording
+        stop = threading.Event()
+
+        def flusher():
+            while not stop.is_set():
+                router.flush()
+
+        flushers = [threading.Thread(target=flusher) for _ in range(4)]
+        for thread in flushers:
+            thread.start()
+        try:
+            futures = [router.submit(r) for r in requests]
+            responses = [f.result(timeout=60.0) for f in futures]
+        finally:
+            stop.set()
+            for thread in flushers:
+                thread.join(timeout=30.0)
+            router.close()
+        assert [r.request_id for r in responses] == list(range(n))
+        for ids in dequeues:
+            assert ids == list(range(ids[0], ids[0] + len(ids)))
+        assert sorted(i for ids in dequeues for i in ids) == list(range(n))
 
 
 class TestAdmissionControl:

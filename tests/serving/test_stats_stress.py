@@ -55,7 +55,7 @@ def test_concurrent_submitters_exact_totals(
         artifacts_dir,
         max_batch=8,
         max_wait_s=0.001,
-        n_workers=2,
+        n_workers=2 if worker_mode == "process" else 1,
         worker_mode=worker_mode,
     ) as router:
         barrier = threading.Barrier(N_THREADS)
@@ -114,7 +114,6 @@ def test_shed_and_deadline_counters_exact_under_concurrency(
         artifacts_dir,
         max_batch=8,
         max_wait_s=0.0005,
-        n_workers=2,
         queue_cap=4,
         overload_policy="shed",
     ) as router:

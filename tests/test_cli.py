@@ -160,32 +160,18 @@ class TestServingCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "one-at-a-time" in out
+        assert "scheduler (1 worker, max_batch=8)" in out
         assert "micro-batching speedup" in out
-        assert "worker-pool speedup" in out
+        # The process-pool row runs only with --worker-mode process.
+        assert "process pool" not in out
 
-    def test_serve_bench_workers_and_shards(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "24", "--max-batch", "8",
-                "--workers", "2", "--shards", "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "worker pool (2 thread workers, 2 shards)" in out
-        assert "per-route requests: task 1: 24" in out
-
-    def test_serve_bench_vocab_axis(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "16", "--max-batch", "8",
-                "--workers", "2", "--shards", "2", "--shard-axis", "vocab",
-            ]
-        )
-        assert code == 0
-        assert "worker pool" in capsys.readouterr().out
+    def test_serve_bench_thread_workers_rejected(self, capsys):
+        """Thread mode flushes inline on one worker: asking it for a
+        pool is a usage error, caught before any model is loaded."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--worker-mode process" in capsys.readouterr().err
 
     def test_train_quantize_and_query_quantized(self, tmp_path, capsys):
         directory = str(tmp_path / "qsuite")
@@ -194,40 +180,18 @@ class TestServingCommands:
         assert main(["query", "--artifacts", directory, "--task", "1", "--quantized"]) == 0
         assert "quantized weights" in capsys.readouterr().out
 
-    def test_serve_bench_vocab_axis_rejects_approximate_backend(self, cli_artifacts):
-        with pytest.raises(SystemExit, match="exhaustive"):
-            main(
-                [
-                    "serve-bench", "--artifacts", cli_artifacts,
-                    "--mips-backend", "alsh",
-                    "--shards", "2", "--shard-axis", "vocab",
-                ]
-            )
-
-    def test_serve_bench_vocab_axis_threshold(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "16", "--max-batch", "8",
-                "--mips-backend", "threshold",
-                "--workers", "2", "--shards", "2", "--shard-axis", "vocab",
-            ]
-        )
-        assert code == 0
-        assert "worker pool" in capsys.readouterr().out
-
     def test_serve_bench_process_mode(self, cli_artifacts, capsys):
         code = main(
             [
                 "serve-bench", "--artifacts", cli_artifacts,
                 "--requests", "24", "--max-batch", "8",
-                "--workers", "2", "--shards", "2",
-                "--worker-mode", "process",
+                "--workers", "2", "--worker-mode", "process",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "worker pool (2 process workers, 2 shards)" in out
+        assert "process pool (2 workers)" in out
+        assert "process-pool speedup" in out
         assert "per-route requests: task 1: 24" in out
 
     def test_serve_bench_process_mode_needs_artifacts(self):
@@ -312,8 +276,8 @@ class TestAsyncServing:
         code = main(
             [
                 "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "32", "--max-batch", "8", "--workers", "2",
-                "--shards", "2", "--async", "--deadline-ms", "10000",
+                "--requests", "32", "--max-batch", "8",
+                "--async", "--deadline-ms", "10000",
             ]
         )
         assert code == 0
