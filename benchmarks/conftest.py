@@ -63,16 +63,5 @@ def full_suite() -> BabiSuite:
 
 
 @pytest.fixture(scope="session")
-def full_suite_artifacts(full_suite, tmp_path_factory):
-    """The full suite saved to disk — what process-mode serving needs
-    (worker processes rebuild their routes from the artifact dir)."""
-    from repro.artifacts import save_suite
-
-    directory = tmp_path_factory.mktemp("bench_artifacts")
-    save_suite(full_suite, directory)
-    return directory
-
-
-@pytest.fixture(scope="session")
 def task1_system(full_suite):
     return full_suite.tasks[1]

@@ -24,10 +24,12 @@ deadline. Persisted artifacts:
   counts, admitted-latency percentiles per rung) that CI archives and
   asserts on.
 
-The acceptance floor this PR ships on: at the top rung the shed
-policy's goodput is strictly above the no-admission-control baseline,
-and its admitted p99 stays below the baseline's (which scales with the
-backlog, not the batch). The model is a production-shaped synthetic
+The acceptance floor: at the top rung the shed policy's goodput is
+strictly above the no-admission-control baseline, and its admitted p99
+stays below the baseline's (which scales with the backlog, not the
+batch). Both comparisons are made on medians over
+``OVERLOAD_REPEATS`` interleaved baseline/shed pairs run in this
+process, so one slow stretch of a shared host cannot decide them. The model is a production-shaped synthetic
 MANN (vocab 400, embed 64) with 128 memory slots — deliberately heavy,
 ~1k req/s, so flush times (tens of ms) dwarf thread-wakeup jitter and
 the contrast is queueing theory, not scheduler noise. Single-core
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import statistics
 import time
 
 import numpy as np
@@ -76,6 +79,9 @@ DEADLINE_FLOOR_S = 0.05
 #: backlog outgrows the deadline with ~2x margin over the shed path's
 #: goodput (see the derivation in _ladder_plan).
 OVERLOAD_DEMAND = 15.0
+#: Interleaved baseline/shed pairs at the overload rung; the floor
+#: compares their medians (odd, so the median is one run).
+OVERLOAD_REPEATS = 5
 
 
 def _production_weights() -> MannWeights:
@@ -211,9 +217,12 @@ def test_bench_open_loop_goodput_ladder():
         title=(
             f"Async front end, open loop — capacity {capacity_qps:.0f} "
             f"req/s, deadline {deadline_s * 1e3:.1f} ms, "
-            f"max_batch={MAX_BATCH}, queue cap {QUEUE_CAP}, exact backend"
+            f"max_batch={MAX_BATCH}, queue cap {QUEUE_CAP}, exact backend; "
+            f"{OVERLOAD_X:.0f}x rows: median of {OVERLOAD_REPEATS} "
+            "interleaved repeats"
         ),
     )
+    policies = (("baseline", None, "block"), ("shed", QUEUE_CAP, "shed"))
     rows = []
     goodput_at_overload = {}
     p99_at_overload = {}
@@ -221,54 +230,61 @@ def test_bench_open_loop_goodput_ladder():
         offered_qps = factor * capacity_qps
         # Sub-capacity rungs only demonstrate health — keep them short.
         n = n_overload if factor > 1.0 else max(256, n_overload // 4)
-        for policy_label, queue_cap, policy in (
-            ("baseline", None, "block"),
-            ("shed", QUEUE_CAP, "shed"),
-        ):
-            requests = _requests(n, deadline_s, seed=int(factor * 10))
-            seconds, served, shed, expired, stats = _drive_open_loop(
-                predictor, requests, offered_qps, queue_cap, policy
-            )
-            goodput = stats.goodput_rate
-            row = {
-                "offered_x": factor,
-                "offered_qps": offered_qps,
-                "policy": policy_label,
-                "requests": n,
-                "served": served,
-                "shed": shed,
-                "expired": expired,
-                "served_per_s": served / seconds,
-                "goodput": goodput,
-                "p50_ms": stats.p50_latency_s * 1e3,
-                "p95_ms": stats.p95_latency_s * 1e3,
-                "p99_ms": stats.p99_latency_s * 1e3,
-            }
+        requests = _requests(n, deadline_s, seed=int(factor * 10))
+        repeats = OVERLOAD_REPEATS if factor == OVERLOAD_X else 1
+        runs: dict[str, list[dict]] = {label: [] for label, _, _ in policies}
+        for _ in range(repeats):
+            for policy_label, queue_cap, policy in policies:
+                seconds, served, shed, expired, stats = _drive_open_loop(
+                    predictor, requests, offered_qps, queue_cap, policy
+                )
+                # Consistency between frontend-observed and stats counters.
+                assert stats.shed == shed and stats.expired == expired
+                assert stats.offered == n
+                runs[policy_label].append(
+                    {
+                        "offered_x": factor,
+                        "offered_qps": offered_qps,
+                        "policy": policy_label,
+                        "requests": n,
+                        "served": served,
+                        "shed": shed,
+                        "expired": expired,
+                        "served_per_s": served / seconds,
+                        "goodput": stats.goodput_rate,
+                        "p50_ms": stats.p50_latency_s * 1e3,
+                        "p95_ms": stats.p95_latency_s * 1e3,
+                        "p99_ms": stats.p99_latency_s * 1e3,
+                    }
+                )
+        for policy_label, _, _ in policies:
+            # The run with the median goodput represents the rung.
+            ranked = sorted(runs[policy_label], key=lambda run: run["goodput"])
+            row = dict(ranked[len(ranked) // 2], repeats=repeats)
             rows.append(row)
             if factor == OVERLOAD_X:
-                goodput_at_overload[policy_label] = goodput
-                p99_at_overload[policy_label] = stats.p99_latency_s
+                goodput_at_overload[policy_label] = row["goodput"]
+                p99_at_overload[policy_label] = (
+                    statistics.median(run["p99_ms"] for run in ranked) / 1e3
+                )
             table.add_row(
                 [
                     f"{factor:.1f}x",
                     policy_label,
                     str(n),
                     f"{row['served_per_s']:.0f}",
-                    f"{goodput:.1%}",
-                    str(shed),
-                    str(expired),
+                    f"{row['goodput']:.1%}",
+                    str(row["shed"]),
+                    str(row["expired"]),
                     f"{row['p50_ms']:.2f}",
                     f"{row['p95_ms']:.2f}",
                     f"{row['p99_ms']:.2f}",
                 ]
             )
-            # Consistency between frontend-observed and stats counters.
-            assert stats.shed == shed and stats.expired == expired
-            assert stats.offered == n
 
-    # The acceptance floor: under overload, shedding buys goodput and
-    # a bounded admitted-latency tail; without admission control the
-    # backlog eats the deadline.
+    # The acceptance floor, on medians of the interleaved repeats: under
+    # overload, shedding buys goodput and a bounded admitted-latency
+    # tail; without admission control the backlog eats the deadline.
     assert goodput_at_overload["shed"] > goodput_at_overload["baseline"], (
         f"shed goodput {goodput_at_overload['shed']:.1%} not above "
         f"baseline {goodput_at_overload['baseline']:.1%} at "
@@ -291,6 +307,7 @@ def test_bench_open_loop_goodput_ladder():
             "max_batch": MAX_BATCH,
             "queue_cap": QUEUE_CAP,
             "overload_x": OVERLOAD_X,
+            "overload_repeats": OVERLOAD_REPEATS,
             "goodput_overload_shed": goodput_at_overload["shed"],
             "goodput_overload_baseline": goodput_at_overload["baseline"],
             "p99_overload_shed_ms": p99_at_overload["shed"] * 1e3,

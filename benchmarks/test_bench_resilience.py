@@ -1,16 +1,22 @@
-"""Chaos soak: the fault-tolerant runtime under real worker deaths.
+"""Chaos soak: the fault-tolerant runtime under injected model failures.
 
 The acceptance gate for the resilience layer: route a mixed-task
-request stream through the process-mode serving stack while the chaos
-harness kills real worker processes (``os._exit`` inside the worker —
-the pool genuinely breaks), at a ladder of kill rates, twice per rate:
+request stream through the serving stack while the chaos harness makes
+a fraction of the per-route engine calls raise a transient
+``raise-in-predict`` fault, at a ladder of fault rates, with and
+without a retry policy:
 
-* **supervised** (the default): the scheduler rebuilds the pool from
-  its retained WorkerSpecs and replays the lost sub-batches — the soak
-  must finish with **zero** failed requests and bit-identical answers.
-* **unsupervised** (``supervise_pool=False``, no retry): the first
-  kill takes the flush (and the pool) down with it — requests are
-  lost, which is the row that shows what supervision buys.
+* **retry** (``RetryPolicy``): the scheduler replays every failed
+  flush — the soak must finish with **zero** failed requests and
+  bit-identical answers.
+* **no retry**: each fault fails its whole flush — requests are lost,
+  which is the row that shows what the retry policy buys.
+
+The scheduler runs in manual mode (``start_worker=False``): every flush
+is a full ``MAX_BATCH`` taken at submit time, so flush composition, and
+with the pure :class:`FaultPlan` draws every counter, repeats exactly
+run to run. ``N_REQUESTS`` is large enough that the two nonzero rates
+report different retry and recovery counts.
 
 Persists ``benchmarks/output/resilience.txt`` (the human-readable
 ladder) and a machine-readable summary under the
@@ -33,13 +39,16 @@ from repro.serving import (
 )
 from repro.utils.tables import TextTable
 
-N_REQUESTS = 128
+N_REQUESTS = 1024
 MAX_BATCH = 16
-N_WORKERS = 2
 TASKS = (1, 2, 6, 15)
-#: (kill rate, supervised) soak ladder. Every nonzero-rate plan also
-#: schedules a guaranteed kill at the third sub-batch, so the
-#: unsupervised row demonstrably loses requests even if the rate draw
+#: Attempts per flush under retry. A flush calls all four routes, so at
+#: rate 0.08 about 28% of attempts fault; eight attempts leave a flush
+#: failing for good with probability ~4e-5.
+RETRY_ATTEMPTS = 8
+#: (fault rate, retry) soak ladder. Every nonzero-rate plan also
+#: schedules a guaranteed fault at each route's third engine call, so
+#: the no-retry row demonstrably loses requests even if the rate draw
 #: happens to spare the early indices.
 LADDER = ((0.0, True), (0.04, True), (0.08, True), (0.04, False))
 
@@ -63,28 +72,25 @@ def _requests(suite, n: int) -> list[QueryRequest]:
     return stream
 
 
-def _soak(artifacts, suite, requests, kill_rate: float, supervised: bool):
+def _soak(suite, requests, fault_rate: float, retry: bool):
     """One soak run; returns (labels, seconds, failed, stats)."""
     plan = None
-    if kill_rate > 0:
+    if fault_rate > 0:
         plan = FaultPlan(
-            kill_worker_rate=kill_rate,
+            raise_rate=fault_rate,
             seed=13,
-            schedule=((2, "kill-worker"),),
+            schedule=((2, "raise-in-predict"),),
         )
     router = ModelRouter.open(
-        artifacts,
+        suite,
         tasks=[t for t in TASKS if t in suite.tasks],
         mips_backend="exact",
-        n_workers=N_WORKERS,
-        worker_mode="process",
         max_batch=MAX_BATCH,
-        max_wait_s=0.005,
+        start_worker=False,
         chaos_plan=plan,
-        supervise_pool=supervised,
         retry_policy=(
-            RetryPolicy(max_attempts=4, backoff_base_s=0.0)
-            if supervised
+            RetryPolicy(max_attempts=RETRY_ATTEMPTS, backoff_base_s=0.0)
+            if retry
             else None
         ),
     )
@@ -98,6 +104,7 @@ def _soak(artifacts, suite, requests, kill_rate: float, supervised: bool):
                 futures.append((request.request_id, router.submit(request)))
             except ServingError:
                 failed += 1
+        router.flush()
         for request_id, future in futures:
             try:
                 labels[request_id] = future.result(timeout=120.0).label
@@ -107,10 +114,10 @@ def _soak(artifacts, suite, requests, kill_rate: float, supervised: bool):
     return labels, seconds, failed, router.stats
 
 
-def test_bench_chaos_soak(full_suite, full_suite_artifacts):
+def test_bench_chaos_soak(full_suite):
     requests = _requests(full_suite, N_REQUESTS)
 
-    # Fault-free reference answers (thread mode, no pool to kill).
+    # Fault-free reference answers, one request at a time.
     reference_router = ModelRouter.open(
         full_suite,
         tasks=[t for t in TASKS if t in full_suite.tasks],
@@ -124,51 +131,50 @@ def test_bench_chaos_soak(full_suite, full_suite_artifacts):
 
     table = TextTable(
         [
-            "kill rate",
-            "supervised",
+            "fault rate",
+            "retry",
             "served",
             "failed",
             "retried",
             "recovered",
-            "pool rebuilds",
             "requests/s",
         ],
         title=(
             f"Chaos soak — {N_REQUESTS} requests, {len(TASKS)} routes, "
-            f"{N_WORKERS} process workers, max_batch={MAX_BATCH}"
+            f"max_batch={MAX_BATCH}, raise-in-predict faults, "
+            f"retry budget {RETRY_ATTEMPTS} attempts"
         ),
     )
     rows = []
-    for kill_rate, supervised in LADDER:
+    for fault_rate, retry in LADDER:
         labels, seconds, failed, stats = _soak(
-            full_suite_artifacts, full_suite, requests, kill_rate, supervised
+            full_suite, requests, fault_rate, retry
         )
-        if supervised:
+        if retry:
             # The zero-failure contract: every request served, every
             # answer bit-identical to the fault-free reference.
             assert failed == 0, (
-                f"supervised soak at kill rate {kill_rate} lost "
+                f"soak with retry at fault rate {fault_rate} lost "
                 f"{failed} requests"
             )
             assert labels == reference, "recovery changed an answer"
-            if kill_rate > 0:
-                assert stats.pool_rebuilds >= 1, "no worker was ever killed"
+            if fault_rate > 0:
+                assert stats.retries >= 1, "no fault was ever injected"
                 assert stats.recovered >= 1
         else:
             assert failed > 0, (
-                "unsupervised soak survived worker kills — supervision "
-                "is not being exercised"
+                "soak without retry survived injected faults — the "
+                "faults are not being exercised"
             )
             assert all(labels[k] == reference[k] for k in labels)
         rows.append(
             {
-                "kill_rate": kill_rate,
-                "supervised": supervised,
+                "fault_rate": fault_rate,
+                "retry": retry,
                 "served": len(labels),
                 "failed": failed,
                 "retries": stats.retries,
                 "recovered": stats.recovered,
-                "pool_rebuilds": stats.pool_rebuilds,
                 "requests_per_s": round(len(labels) / seconds, 1)
                 if seconds > 0
                 else 0.0,
@@ -176,16 +182,22 @@ def test_bench_chaos_soak(full_suite, full_suite_artifacts):
         )
         table.add_row(
             [
-                f"{kill_rate:.2f}",
-                "yes" if supervised else "no",
+                f"{fault_rate:.2f}",
+                "yes" if retry else "no",
                 str(len(labels)),
                 str(failed),
                 str(stats.retries),
                 str(stats.recovered),
-                str(stats.pool_rebuilds),
                 f"{len(labels) / seconds:,.0f}",
             ]
         )
+
+    # The soak is sized so the nonzero rates tell apart.
+    low, high = rows[1], rows[2]
+    assert (low["retries"], low["recovered"]) != (
+        high["retries"],
+        high["recovered"],
+    ), "soak too small: fault rates 0.04 and 0.08 report the same counters"
 
     persist("resilience", table.render())
     persist_bench_summary(
@@ -193,8 +205,8 @@ def test_bench_chaos_soak(full_suite, full_suite_artifacts):
         {
             "benchmark": "chaos_soak",
             "n_requests": N_REQUESTS,
-            "n_workers": N_WORKERS,
             "max_batch": MAX_BATCH,
+            "retry_attempts": RETRY_ATTEMPTS,
             "tasks": list(TASKS),
             "rows": rows,
         },

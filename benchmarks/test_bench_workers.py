@@ -1,25 +1,15 @@
-"""Worker scaling of the multi-task serving runtime.
+"""Routed serving throughput: the single-worker scheduler vs one at a time.
 
-How does throughput move with the number of flush workers? This
-benchmark routes one mixed-task request stream through
-:class:`ModelRouter` configurations from the single-worker inline
-scheduler up to a 4-process pool, asserting bit-identical answers
-everywhere, and persists
+This benchmark routes one mixed-task request stream through
+:class:`ModelRouter` twice — one-at-a-time ``predict()`` calls and the
+micro-batching scheduler, whose flushes run inline on one worker —
+asserting bit-identical answers, and persists
 
-* ``benchmarks/output/workers.txt`` — the human-readable scaling
-  curve, and
+* ``benchmarks/output/workers.txt`` — the human-readable comparison,
+  and
 * ``benchmarks/output/BENCH_serving.json`` — a machine-readable
   throughput summary (key ``serving_workers``) CI archives so the
   serving perf trajectory is comparable across PRs.
-
-The ladder is one-at-a-time ``predict()`` calls, the single-worker
-scheduler (``worker_mode="thread"``: each flush runs inline), and
-``worker_mode="process"`` pools whose workers rebuild their routes from
-memory-mapped artifacts and receive encoded arrays over the pipe. The
-summary records ``process_pool_vs_single_worker`` so CI can watch
-whether the process pool pays for its pickling overhead. That gain
-needs physical cores: its floor arms only when the machine has a
-second one.
 """
 
 from __future__ import annotations
@@ -35,18 +25,10 @@ from repro.utils.tables import TextTable
 N_REQUESTS = 512
 MAX_BATCH = 64
 TASKS = (1, 2, 6, 15)  # four routes: enough mix to exercise the router
-#: Process-mode ladder: every entry uses >= 2 workers because the row
-#: the summary promises (``process_pool_vs_single_worker``) is the
-#: multi-worker gain; a 1-process "pool" would only measure pipe tax.
-PROCESS_WORKERS = (2, 4)
-#: The serving runtime's best configuration must beat one-at-a-time
-#: submission by this much (the end-to-end serving contract).
+#: The routed scheduler must beat one-at-a-time submission by this much
+#: (the end-to-end serving contract).
 MIN_SERVING_SPEEDUP = 2.0
-#: Process-pool gain floor vs the single-worker scheduler, armed on
-#: machines with at least two cores (one core gives the workers
-#: nothing to run on).
-MIN_POOL_SPEEDUP_MULTICORE = 1.05
-#: Best-of-N timing per configuration keeps the curve stable against
+#: Best-of-N timing per configuration keeps the numbers stable against
 #: scheduler jitter (flushes race the deadline thread).
 REPEATS = 3
 
@@ -70,28 +52,17 @@ def _requests(suite, n: int) -> list[QueryRequest]:
     return stream
 
 
-def _timed_run(source, suite, requests, n_workers: int, worker_mode: str):
-    """Best-of-REPEATS timing of one (workers, mode) config.
-
-    ``source`` is the in-memory suite for thread mode and the saved
-    artifact directory for process mode (worker processes rebuild
-    their routes from the directory, zero-copy via mmap).
-    """
+def _timed_run(suite, requests):
+    """Best-of-REPEATS timing of the routed single-worker scheduler."""
     best_seconds, labels, router = None, None, None
     for _ in range(REPEATS):
         candidate = ModelRouter.open(
-            source,
+            suite,
             tasks=[t for t in TASKS if t in suite.tasks],
             mips_backend="exact",
-            n_workers=n_workers,
-            worker_mode=worker_mode,
             max_batch=MAX_BATCH,
             max_wait_s=0.005,
         )
-        # Warm the pool before the clock starts: process workers fork
-        # and map their weights lazily on the first flush, and that
-        # one-time startup is exactly what "load once, serve many"
-        # amortises away in steady state.
         warm_up = [candidate.submit(r) for r in requests[:MAX_BATCH]]
         candidate.flush()
         for future in warm_up:
@@ -108,7 +79,7 @@ def _timed_run(source, suite, requests, n_workers: int, worker_mode: str):
     return best_seconds, labels, router
 
 
-def test_bench_worker_scaling(full_suite, full_suite_artifacts):
+def test_bench_worker_scaling(full_suite):
     requests = _requests(full_suite, N_REQUESTS)
 
     # One-at-a-time baseline (no scheduler at all).
@@ -127,108 +98,63 @@ def test_bench_worker_scaling(full_suite, full_suite_artifacts):
         one_at_a_time = seconds if one_at_a_time is None else min(one_at_a_time, seconds)
     warm.close()
 
+    seconds, labels, router = _timed_run(full_suite, requests)
+    assert labels == reference, "scheduled serving changed an answer"
+    speedup = one_at_a_time / seconds
+    stats = router.stats
+    row = {
+        "workers": 1,
+        "requests_per_s": round(N_REQUESTS / seconds, 1),
+        "mean_batch": round(stats.mean_batch_size, 2),
+        "mean_latency_ms": round(stats.mean_latency_s * 1e3, 3),
+        "p50_latency_ms": round(stats.p50_latency_s * 1e3, 3),
+        "p95_latency_ms": round(stats.p95_latency_s * 1e3, 3),
+        "p99_latency_ms": round(stats.p99_latency_s * 1e3, 3),
+    }
+
     table = TextTable(
-        ["configuration", "requests/s", "mean batch", "sub-batches/flush", "speedup"],
+        ["configuration", "requests/s", "mean batch", "speedup"],
         title=(
-            f"Serving worker scaling — {len(TASKS)} task routes, "
+            f"Routed serving — {len(TASKS)} task routes, "
             f"{N_REQUESTS} requests, exact backend, max_batch={MAX_BATCH}"
         ),
     )
     table.add_row(
-        ["one-at-a-time predict()", f"{N_REQUESTS / one_at_a_time:,.0f}", "1.0", "-", "-"]
+        ["one-at-a-time predict()", f"{N_REQUESTS / one_at_a_time:,.0f}", "1.0", "-"]
     )
-
-    rows = []
-    single_seconds = None
-    ladder = [("thread", 1)] + [("process", n) for n in PROCESS_WORKERS]
-    for worker_mode, n_workers in ladder:
-        source = full_suite if worker_mode == "thread" else full_suite_artifacts
-        seconds, labels, router = _timed_run(
-            source, full_suite, requests, n_workers, worker_mode
-        )
-        assert labels == reference, (
-            f"workers={n_workers} mode={worker_mode}: "
-            "pooled serving changed an answer"
-        )
-        if worker_mode == "thread":
-            single_seconds = seconds
-        speedup = single_seconds / seconds
-        rows.append(
-            {
-                "mode": worker_mode,
-                "workers": n_workers,
-                "requests_per_s": round(N_REQUESTS / seconds, 1),
-                "mean_batch": round(router.stats.mean_batch_size, 2),
-                "mean_sub_batches_per_flush": round(
-                    router.stats.mean_sub_batches_per_flush, 2
-                ),
-                "mean_latency_ms": round(router.stats.mean_latency_s * 1e3, 3),
-                "p50_latency_ms": round(router.stats.p50_latency_s * 1e3, 3),
-                "p95_latency_ms": round(router.stats.p95_latency_s * 1e3, 3),
-                "p99_latency_ms": round(router.stats.p99_latency_s * 1e3, 3),
-                "speedup_vs_single_worker": round(speedup, 3),
-            }
-        )
-        table.add_row(
-            [
-                f"router({n_workers} {worker_mode} workers)",
-                f"{N_REQUESTS / seconds:,.0f}",
-                f"{router.stats.mean_batch_size:.1f}",
-                f"{router.stats.mean_sub_batches_per_flush:.1f}",
-                f"{speedup:.2f}x",
-            ]
-        )
+    table.add_row(
+        [
+            "router(1 worker)",
+            f"{N_REQUESTS / seconds:,.0f}",
+            f"{stats.mean_batch_size:.1f}",
+            f"{speedup:.2f}x",
+        ]
+    )
 
     cores = os.cpu_count() or 1
-    microbatch_speedup = one_at_a_time / single_seconds
-    best = max(rows, key=lambda row: row["requests_per_s"])
-    serving_speedup = best["requests_per_s"] / (N_REQUESTS / one_at_a_time)
-    # Every PROCESS_WORKERS entry is >= 2, so this is the multi-worker
-    # process-pool gain the floor below asks for.
-    process_pool_speedup = max(
-        row["speedup_vs_single_worker"] for row in rows if row["mode"] == "process"
+    persist_bench_summary(
+        "serving_workers",
+        {
+            "benchmark": "serving_workers",
+            "cpu_count": cores,
+            "n_requests": N_REQUESTS,
+            "task_routes": list(TASKS),
+            "mips_backend": "exact",
+            "max_batch": MAX_BATCH,
+            "one_at_a_time_rps": round(N_REQUESTS / one_at_a_time, 1),
+            "single_worker_speedup": round(speedup, 2),
+            "single_worker": row,
+        },
     )
-    summary = {
-        "benchmark": "serving_workers",
-        "cpu_count": cores,
-        "n_requests": N_REQUESTS,
-        "task_routes": list(TASKS),
-        "mips_backend": "exact",
-        "max_batch": MAX_BATCH,
-        "one_at_a_time_rps": round(N_REQUESTS / one_at_a_time, 1),
-        "single_worker_speedup": round(microbatch_speedup, 2),
-        "best_vs_one_at_a_time": round(serving_speedup, 2),
-        "process_pool_vs_single_worker": round(process_pool_speedup, 2),
-        "rows": rows,
-        "best": best,
-    }
-    persist_bench_summary("serving_workers", summary)
-
     persist(
         "workers",
         table.render()
-        + f"\nsingle-worker scheduler vs one-at-a-time: {microbatch_speedup:.2f}x"
-        + f"\nprocess pool vs single-worker scheduler: {process_pool_speedup:.2f}x"
-        + f"\nbest configuration: {best['workers']} {best['mode']} workers "
-        f"at {best['requests_per_s']:,.0f} req/s "
-        f"({serving_speedup:.2f}x vs one-at-a-time, floor "
-        f"{MIN_SERVING_SPEEDUP}x)"
-        + f"\ncpu cores: {cores}"
-        + (
-            ""
-            if cores >= 2
-            else f"\n(process-pool floor not armed: {cores} core(s) give "
-            "workers nothing to run on; curve recorded as measured)"
-        ),
+        + f"\nsingle-worker scheduler vs one-at-a-time: {speedup:.2f}x "
+        f"(floor {MIN_SERVING_SPEEDUP}x)"
+        + f"\ncpu cores: {cores}",
     )
 
-    assert serving_speedup >= MIN_SERVING_SPEEDUP, (
-        f"best serving configuration only {serving_speedup:.2f}x over "
-        f"one-at-a-time (floor {MIN_SERVING_SPEEDUP}x)"
+    assert speedup >= MIN_SERVING_SPEEDUP, (
+        f"routed scheduler only {speedup:.2f}x over one-at-a-time "
+        f"(floor {MIN_SERVING_SPEEDUP}x)"
     )
-    if cores >= 2:
-        assert process_pool_speedup >= MIN_POOL_SPEEDUP_MULTICORE, (
-            f"process pool best {process_pool_speedup:.2f}x vs the "
-            f"single-worker scheduler on a {cores}-core machine "
-            f"(floor {MIN_POOL_SPEEDUP_MULTICORE}x)"
-        )

@@ -44,7 +44,6 @@ from repro.artifacts.codec import (
     encode_quantized_weights,
     encode_threshold_model,
 )
-from repro.artifacts.memmap import mmap_npz
 from repro.babi.dataset import EncodedBatch
 from repro.babi.vocab import Vocab
 from repro.eval.suite import BabiSuite, SuiteConfig, TaskSystem
@@ -161,21 +160,13 @@ def _save_task_system(
 # ---------------------------------------------------------------------------
 # load
 # ---------------------------------------------------------------------------
-def load_suite(directory, *, mmap: bool = False) -> BabiSuite:
+def load_suite(directory) -> BabiSuite:
     """Restore a :class:`BabiSuite` saved by :func:`save_suite`.
 
     The restored systems are ready for every experiment driver and for
     :func:`repro.serving.open_predictor`; their ``train``/``test``
     dataset fields are ``None`` (raw examples are not persisted — the
     encoded batches are).
-
-    With ``mmap=True`` the bulk arrays (weights, encoded batches,
-    training logits) are memory-mapped read-only straight out of
-    ``arrays.npz`` via :func:`repro.artifacts.memmap.mmap_npz` instead
-    of copied into private memory — serving worker processes opened
-    this way share one set of page-cache pages for the weights. The
-    arrays are bit-identical to a normal load but immutable; training
-    or any in-place mutation needs the default copying load.
     """
     directory = Path(directory)
     marker = directory / "suite.json"
@@ -194,39 +185,26 @@ def load_suite(directory, *, mmap: bool = False) -> BabiSuite:
     suite = BabiSuite(config=SuiteConfig(**config_dict), vocab=vocab)
     for task_id in manifest["task_ids"]:
         suite.tasks[int(task_id)] = _load_task_system(
-            directory / _task_dirname(int(task_id)), mmap=mmap
+            directory / _task_dirname(int(task_id))
         )
     return suite
 
 
-def _load_task_system(task_dir: Path, mmap: bool = False) -> TaskSystem:
+def _load_task_system(task_dir: Path) -> TaskSystem:
     meta = json.loads((task_dir / "meta.json").read_text())
     model_config = MannConfig(**meta["model_config"])
 
-    if mmap:
-        data = mmap_npz(task_dir / "arrays.npz")
+    with np.load(task_dir / "arrays.npz") as data:
         weights = MannWeights(
-            model_config, *(data[name] for name in _WEIGHT_FIELDS)
+            model_config, *(data[name].copy() for name in _WEIGHT_FIELDS)
         )
         batches = {
             split: EncodedBatch(
-                *(data[f"{split}_{field}"] for field in _BATCH_FIELDS)
+                *(data[f"{split}_{field}"].copy() for field in _BATCH_FIELDS)
             )
             for split in ("train", "test")
         }
-        train_logits = data["train_logits"]
-    else:
-        with np.load(task_dir / "arrays.npz") as data:
-            weights = MannWeights(
-                model_config, *(data[name].copy() for name in _WEIGHT_FIELDS)
-            )
-            batches = {
-                split: EncodedBatch(
-                    *(data[f"{split}_{field}"].copy() for field in _BATCH_FIELDS)
-                )
-                for split in ("train", "test")
-            }
-            train_logits = data["train_logits"].copy()
+        train_logits = data["train_logits"].copy()
 
     with np.load(task_dir / "threshold.npz") as data:
         threshold_model = decode_threshold_model(data)

@@ -23,11 +23,8 @@ directory written by ``train --save`` instead of retraining.
 
 ``serve-bench`` drives the multi-task serving runtime: one
 ``ModelRouter`` holding a predictor per task behind a single scheduler
-whose flushes run inline on one worker. With ``--worker-mode process``
-it adds a ``ProcessPoolExecutor`` row: ``--workers`` worker processes
-rebuild each route from ``--artifacts`` with mmap-shared weights and
-answer each flush as concurrent sub-batches. It reports one-at-a-time
-vs single-worker (vs process-pool) throughput and per-route traffic.
+whose flushes run inline on one worker. It reports one-at-a-time vs
+scheduled throughput and per-route traffic.
 """
 
 from __future__ import annotations
@@ -63,9 +60,8 @@ _EPILOG = (
     "Serving: `train --quantize M N` persists fixed-point weights that "
     "`query --quantized` serves; `serve-bench --tasks ...` routes a "
     "mixed-task request stream through one scheduler; "
-    "`--worker-mode process --workers W` adds a W-process flush pool "
-    "rebuilt from --artifacts with mmap-shared weights (zero-copy; "
-    "encoded arrays on the pipe). `--cache-entries N --zipf S` adds a "
+    "`--chaos-rate R --retry-max N` injects transient faults and "
+    "replays them. `--cache-entries N --zipf S` adds a "
     "per-route story-encoding cache and a zipf-skewed replay mix to "
     "measure hit-rate vs throughput."
 )
@@ -432,16 +428,13 @@ def _timed_async_run(args: argparse.Namespace, suite, requests):
         RetryPolicy,
     )
 
-    source = suite if args.worker_mode == "thread" else args.artifacts
     router = ModelRouter.open(
-        source,
+        suite,
         tasks=list(suite.tasks),
         mips_backend=args.mips_backend,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1e3,
         cache_entries=args.cache_entries or None,
-        n_workers=args.workers,
-        worker_mode=args.worker_mode,
         queue_cap=args.queue_cap,
         overload_policy=args.overload_policy,
         inline_flush=False,
@@ -496,17 +489,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
     """Multi-task serving throughput through one router.
 
     Submission modes over the same mixed-task request stream:
-    one-at-a-time ``predict`` calls, the single-worker scheduler, and
-    with ``--worker-mode process`` the ``--workers``-process pool.
+    one-at-a-time ``predict`` calls, the scheduler, and with
+    ``--async`` the asyncio frontend.
     """
-    from repro.serving import ModelRouter
+    from repro.serving import ModelRouter, ServingError
 
-    if args.worker_mode == "process" and args.artifacts is None:
-        raise SystemExit(
-            "--worker-mode process requires --artifacts DIR: worker "
-            "processes rebuild each route from the saved artifact "
-            "directory (train one with `train --save DIR`)"
-        )
     suite = _obtain_suite(args)
     if args.zipf is not None:
         requests = _zipf_requests(suite, args.requests, args.zipf)
@@ -526,7 +513,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
     one_at_a_time = time.perf_counter() - start
     direct.close()
 
-    # Resilience knobs apply to the scheduler rows only — the direct
+    # Resilience knobs apply to the scheduler row only — the direct
     # baseline above stays fault-free by construction.
     resilience_kwargs = {}
     if args.retry_max:
@@ -537,51 +524,31 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
         )
     if args.breaker_threshold is not None:
         resilience_kwargs["breaker_threshold"] = args.breaker_threshold
-    if args.chaos_kill_rate:
+    if args.chaos_rate:
         from repro.serving import FaultPlan
 
-        resilience_kwargs["chaos_plan"] = FaultPlan(
-            kill_worker_rate=args.chaos_kill_rate
-        )
+        resilience_kwargs["chaos_plan"] = FaultPlan(raise_rate=args.chaos_rate)
 
-    def timed_run(n_workers: int, worker_mode: str = "thread"):
-        # Process workers rebuild their routes from the artifact
-        # directory, so the path (not the loaded suite) is the source.
-        from repro.serving import ServingError
-
-        source = suite if worker_mode == "thread" else args.artifacts
-        router = ModelRouter.open(
-            source,
-            tasks=list(suite.tasks),
-            n_workers=n_workers,
-            worker_mode=worker_mode,
-            **open_kwargs,
-            **resilience_kwargs,
-        )
-        failed = 0
-        start = time.perf_counter()
-        with router:
-            futures = []
-            for request in requests:
-                try:
-                    futures.append(router.submit(request))
-                except ServingError:  # e.g. an open route breaker
-                    failed += 1
-            for future in futures:
-                try:
-                    future.result()
-                except ServingError:
-                    # Chaos can out-pressure the retry budget; a typed
-                    # failure is an accounted outcome, not a bench bug.
-                    failed += 1
-        return time.perf_counter() - start, router, failed
-
-    single_seconds, single, single_failed = timed_run(1)
-    runs = [("1 worker", single, single_failed)]
-    pooled = None
-    if args.worker_mode == "process":
-        pooled_seconds, pooled, pooled_failed = timed_run(args.workers, "process")
-        runs.append(("pool", pooled, pooled_failed))
+    router = ModelRouter.open(
+        suite, tasks=list(suite.tasks), **open_kwargs, **resilience_kwargs
+    )
+    failed = 0
+    start = time.perf_counter()
+    with router:
+        futures = []
+        for request in requests:
+            try:
+                futures.append(router.submit(request))
+            except ServingError:  # e.g. an open route breaker
+                failed += 1
+        for future in futures:
+            try:
+                future.result()
+            except ServingError:
+                # Chaos can out-pressure the retry budget; a typed
+                # failure is an accounted outcome, not a bench bug.
+                failed += 1
+    scheduled_s = time.perf_counter() - start
 
     mix = f"zipf(s={args.zipf})" if args.zipf is not None else "round-robin"
     table = TextTable(
@@ -606,11 +573,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 if args.cache_entries
                 else ""
             )
-            + (
-                f", chaos kill rate {args.chaos_kill_rate}"
-                if args.chaos_kill_rate
-                else ""
-            )
+            + (f", chaos rate {args.chaos_rate}" if args.chaos_rate else "")
         ),
     )
     table.add_row(
@@ -652,20 +615,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
         )
 
     _scheduler_row(
-        f"scheduler (1 worker, max_batch={args.max_batch})",
-        single_seconds,
-        single,
+        f"scheduler (1 worker, max_batch={args.max_batch})", scheduled_s, router
     )
-    if pooled is not None:
-        _scheduler_row(
-            f"process pool ({args.workers} workers)", pooled_seconds, pooled
-        )
     if args.async_frontend:
         async_seconds, async_router, n_served = _timed_async_run(args, suite, requests)
         policy = args.overload_policy
         _scheduler_row(
-            f"async frontend ({args.workers} {args.worker_mode} workers, "
-            f"cap={args.queue_cap or '∞'}, {policy})",
+            f"async frontend (cap={args.queue_cap or '∞'}, {policy})",
             async_seconds,
             async_router,
             served=max(1, n_served),
@@ -683,34 +639,24 @@ def _cmd_serve_bench(args: argparse.Namespace) -> None:
                 else ""
             )
         )
-    if args.chaos_kill_rate or args.retry_max or args.breaker_threshold:
-        for label, router, failed in runs:
-            stats = router.stats
-            print(
-                f"resilience [{label}]: {failed} failed, "
-                f"{stats.retries} retried, {stats.recovered} recovered, "
-                f"{stats.pool_rebuilds} pool rebuilds, "
-                f"{stats.breaker_opens} breaker opens"
-            )
-    print(f"micro-batching speedup: {one_at_a_time / single_seconds:.1f}x")
-    if pooled is not None:
+    stats = router.stats
+    if args.chaos_rate or args.retry_max or args.breaker_threshold:
         print(
-            f"process-pool speedup vs single worker: "
-            f"{single_seconds / pooled_seconds:.2f}x (mean sub-batches/flush "
-            f"{pooled.stats.mean_sub_batches_per_flush:.1f})"
+            f"resilience: {failed} failed, "
+            f"{stats.retries} retried, {stats.recovered} recovered, "
+            f"{stats.breaker_opens} breaker opens"
         )
+    print(f"micro-batching speedup: {one_at_a_time / scheduled_s:.1f}x")
     if args.cache_entries:
-        for label, router, _ in runs:
-            stats = router.stats
-            print(
-                f"story cache [{label}]: hit rate "
-                f"{stats.cache_hit_rate:.1%} ({stats.cache_hits} hits / "
-                f"{stats.cache_misses} misses, "
-                f"{stats.cache_evictions} evictions)"
-            )
+        print(
+            f"story cache: hit rate "
+            f"{stats.cache_hit_rate:.1%} ({stats.cache_hits} hits / "
+            f"{stats.cache_misses} misses, "
+            f"{stats.cache_evictions} evictions)"
+        )
     per_route = ", ".join(
         f"task {task}: {stats.requests}"
-        for task, stats in sorted((pooled or single).route_stats.items())
+        for task, stats in sorted(router.route_stats.items())
     )
     print(f"per-route requests: {per_route}")
 
@@ -900,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="serve through the batching scheduler with a RetryPolicy "
-        "of N total attempts per sub-batch: transient flush failures "
+        "of N total attempts per flush: transient flush failures "
         "are replayed bit-identically (0 disables)",
     )
     query.set_defaults(handler=_cmd_query)
@@ -915,23 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-wait-ms", type=float, default=5.0)
     bench.add_argument(
         "--mips-backend", choices=available_backends(), default="exact"
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers: each flush splits into up to this "
-        "many concurrent sub-batches (> 1 requires --worker-mode "
-        "process; default: 1)",
-    )
-    bench.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="'thread' flushes inline on one worker; 'process' adds a "
-        "process-pool row whose workers rebuild each route from "
-        "--artifacts with mmap-shared weights (requires --artifacts; "
-        "default: thread)",
     )
     bench.add_argument(
         "--cache-entries",
@@ -991,21 +920,21 @@ def build_parser() -> argparse.ArgumentParser:
         "rate instead of submitting everything at once",
     )
     bench.add_argument(
-        "--chaos-kill-rate",
+        "--chaos-rate",
         type=float,
         default=0.0,
         metavar="R",
-        help="deterministically inject worker-kill faults into fraction "
-        "R of flush sub-batches on the scheduler rows (process mode "
-        "kills real worker processes; the supervised pool rebuilds and "
-        "replays — pair with --retry-max; 0 disables)",
+        help="deterministically inject transient faults "
+        "(raise-in-predict) into fraction R of the scheduler row's "
+        "per-route engine calls — pair with --retry-max to replay them; "
+        "0 disables",
     )
     bench.add_argument(
         "--retry-max",
         type=int,
         default=0,
         metavar="N",
-        help="RetryPolicy attempt budget per flush sub-batch on the "
+        help="RetryPolicy attempt budget per flush on the "
         "scheduler and async rows: transient failures are replayed "
         "bit-identically with deterministic backoff (0 disables)",
     )
@@ -1046,11 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) > 1 and args.worker_mode != "process":
-        parser.error(
-            "--workers > 1 requires --worker-mode process "
-            "(thread mode flushes inline on one worker)"
-        )
     args.handler(args)
     return 0
 

@@ -18,12 +18,9 @@ The deployment story of the repro in three calls::
   types either way.
 * :class:`BatchScheduler` — coalesces individually submitted requests
   into vectorised flushes (max-batch / max-wait), recording per-request
-  latency, per-flush batch sizes and sub-batch counts in
-  :class:`ServingStats`. By default each flush runs inline, on one
-  worker. ``worker_mode="process"`` splits each flush into sub-batches
-  for ``n_workers`` worker processes that rebuild artifact-backed
-  predictors locally from picklable :class:`WorkerSpec` recipes,
-  sharing the weights zero-copy via the memory-mapped artifacts npz.
+  latency and per-flush batch sizes in :class:`ServingStats`. Each
+  flush runs inline, as one ``predict_batch`` call, completing in
+  submission order.
 * :class:`ModelRouter` — many named predictors (one per bAbI task)
   behind one shared scheduler, routed by ``QueryRequest.task`` with
   per-route statistics::
@@ -52,15 +49,12 @@ The deployment story of the repro in three calls::
   typed failure taxonomy (transient failures are replay-safe because
   predictions are pure; :func:`is_transient` is the verdict), a
   :class:`RetryPolicy` with deterministic exponential backoff the
-  scheduler applies per sub-batch, a *supervised* process pool that
-  rebuilds itself from retained :class:`WorkerSpec` recipes when a
-  worker dies and replays the affected sub-batches bit-identically,
-  one :class:`CircuitBreaker` per router route
-  (``breaker_threshold=`` on ``ModelRouter.open``, with optional
-  degraded fallbacks), and a deterministic fault-injection harness
-  (:class:`FaultPlan` / :class:`ChaosPredictor`) that kills real
-  worker processes on schedule so all of the above is tested against
-  the genuine failure, not a mock.
+  scheduler applies per flush (replays are bit-identical), one
+  :class:`CircuitBreaker` per router route (``breaker_threshold=`` on
+  ``ModelRouter.open``, with optional degraded fallbacks), and a
+  deterministic fault-injection harness (:class:`FaultPlan` /
+  :class:`ChaosPredictor`) that raises, delays or corrupts chosen
+  flushes so every recovery path is exercised reproducibly.
 
 All serving timestamps come from one :class:`Clock`
 (:data:`MONOTONIC`); tests swap in a :class:`ManualClock`.
@@ -102,11 +96,9 @@ from repro.serving.resilience import BREAKER_STATES, CircuitBreaker, RetryPolicy
 from repro.serving.router import ModelRouter
 from repro.serving.scheduler import (
     OVERLOAD_POLICIES,
-    WORKER_MODES,
     BatchScheduler,
     FlushCostModel,
 )
-from repro.serving.worker import WorkerSpec
 
 __all__ = [
     "AsyncFrontend",
@@ -131,9 +123,7 @@ __all__ = [
     "SchedulerClosedError",
     "ServingError",
     "TRANSIENT_ERRORS",
-    "WORKER_MODES",
     "WorkerCrashError",
-    "WorkerSpec",
     "DEVICES",
     "HardwarePredictor",
     "MemoryCache",

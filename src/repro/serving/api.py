@@ -99,22 +99,6 @@ class Predictor(Protocol):
     :func:`repro.serving.open_predictor`; ``predict_batch`` must accept
     requests with heterogeneous story slot counts (they are padded to a
     common shape internally).
-
-    A predictor may additionally expose
-    ``partition_batch(requests, n) -> list[list[int]]`` — index groups
-    the :class:`~repro.serving.BatchScheduler` process pool should
-    dispatch as concurrent sub-batches (the router partitions by task
-    this way); without the hook the scheduler splits contiguously.
-
-    Predictors servable with ``worker_mode="process"`` expose three
-    more hooks (see :mod:`repro.serving.worker`):
-    ``worker_specs() -> list[WorkerSpec]`` (picklable rebuild recipes
-    for the pool initializer), ``worker_payload(requests)`` (the spec +
-    encoded arrays shipped to a worker for one sub-batch), and
-    ``worker_decode(requests, labels, logits, comparisons,
-    early_exits)`` (parent-side decoding of the worker's stacked result
-    arrays into responses, sharing the thread path's decode so the two
-    modes answer identically).
     """
 
     def predict(self, request: QueryRequest) -> QueryResponse: ...
@@ -182,9 +166,7 @@ class ServingStats:
     """Counters a predictor or scheduler accumulates while serving.
 
     ``batch_sizes`` is one entry per flush (the micro-batching win to
-    watch), ``latencies_s`` one per request, ``sub_batches_per_flush``
-    how many concurrent sub-batches the process pool dispatched per
-    flush (always 1 on the inline path) — each a bounded
+    watch), ``latencies_s`` one per request — each a bounded
     reservoir sample (:data:`RESERVOIR_CAPACITY`) whose count, mean and
     max stay exact however long the router runs; percentiles
     (``p50_latency_s``/``p95_latency_s``/``p99_latency_s``) come from
@@ -192,8 +174,8 @@ class ServingStats:
 
     ``cache_hits``/``cache_misses``/``cache_evictions`` mirror the
     story-encoding :class:`~repro.serving.cache.MemoryCache` counters
-    of the serving predictor (synced at every flush; all worker
-    processes included), with ``cache_hit_rate`` derived.
+    of the serving predictor (synced at every flush), with
+    ``cache_hit_rate`` derived.
 
     The SLO layer adds four exact counters: ``shed`` (submissions
     rejected with :class:`~repro.serving.errors.OverloadError` at the
@@ -208,12 +190,10 @@ class ServingStats:
     ``_service`` reservoir (``p95_service_s``), the base of the
     deadline thread's flush-cost prediction.
 
-    The resilience layer adds six more exact counters: ``retries``
-    (sub-batch replays — retry-policy and pool-rebuild alike),
-    ``recovered`` (requests answered successfully after at least one
-    replay), ``pool_rebuilds`` (supervised process-pool swaps after a
-    worker death), ``breaker_opens`` (circuit-breaker transitions into
-    the open state), ``degraded`` (requests served by a route's
+    The resilience layer adds five more exact counters: ``retries``
+    (flush replays under the retry policy), ``recovered`` (requests
+    answered successfully after at least one replay), ``breaker_opens``
+    (circuit-breaker transitions into the open state), ``degraded`` (requests served by a route's
     fallback while its breaker was open), and ``safety_net_wakeups``
     (async-frontend admission waits resolved by the lost-wakeup timer
     rather than a room callback — should stay ~0; growth means wakeups
@@ -233,7 +213,6 @@ class ServingStats:
     deadline_missed: int = 0
     retries: int = 0
     recovered: int = 0
-    pool_rebuilds: int = 0
     breaker_opens: int = 0
     degraded: int = 0
     safety_net_wakeups: int = 0
@@ -245,25 +224,17 @@ class ServingStats:
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
-    _sub_batches: _Reservoir = field(
-        default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
-        repr=False,
-    )
     _service: _Reservoir = field(
         default_factory=lambda: _Reservoir(ServingStats.RESERVOIR_CAPACITY),
         repr=False,
     )
 
     def record_flush(
-        self,
-        batch_size: int,
-        sub_batches: int = 1,
-        service_s: float | None = None,
+        self, batch_size: int, service_s: float | None = None
     ) -> None:
         self.flushes += 1
         self.requests += batch_size
         self._batch_sizes.add(batch_size)
-        self._sub_batches.add(sub_batches)
         if service_s is not None:
             self._service.add(service_s)
 
@@ -284,16 +255,12 @@ class ServingStats:
         self.deadline_missed += missed
 
     def record_retry(self, n: int = 1) -> None:
-        """Count sub-batch replays (retry-policy or pool-rebuild)."""
+        """Count flush replays under the retry policy."""
         self.retries += n
 
     def record_recovered(self, n: int = 1) -> None:
         """Count requests answered after at least one replay."""
         self.recovered += n
-
-    def record_pool_rebuild(self, n: int = 1) -> None:
-        """Count supervised process-pool swaps after a worker death."""
-        self.pool_rebuilds += n
 
     def record_breaker_open(self, n: int = 1) -> None:
         """Count circuit-breaker transitions into the open state."""
@@ -326,10 +293,6 @@ class ServingStats:
         return self._latencies.sample
 
     @property
-    def sub_batches_per_flush(self) -> list[float]:
-        return self._sub_batches.sample
-
-    @property
     def latency_count(self) -> int:
         """Exact number of latencies recorded (>= len(latencies_s))."""
         return self._latencies.count
@@ -358,10 +321,6 @@ class ServingStats:
     @property
     def p99_latency_s(self) -> float:
         return self._latencies.percentile(99.0)
-
-    @property
-    def mean_sub_batches_per_flush(self) -> float:
-        return self._sub_batches.mean
 
     # -- SLO / deadline accounting -------------------------------------
     @property

@@ -33,10 +33,7 @@ served as a miss).
 
 The cache is an LRU bounded in **entries** and optionally **bytes**
 (stories + both memory matrices), safe under concurrent callers
-(one lock around the table — ``worker_mode="thread"`` shares one cache
-per route; ``worker_mode="process"`` rebuilds one per worker process
-from its :class:`~repro.serving.worker.WorkerSpec` and merges hit
-statistics parent-side via :meth:`absorb_delta`).
+(one lock around the table; a router holds one cache per route).
 """
 
 from __future__ import annotations
@@ -58,9 +55,7 @@ class CacheStats:
     stored story did not (served as misses), and ``dedupes`` rows that
     rode along with an identical story in the *same* flush (encoded
     once, fanned out — they touched neither the table nor the write
-    phase). Process-mode serving adds worker-side deltas into the
-    parent's stats, so these totals cover every process that served
-    through the predictor.
+    phase).
     """
 
     hits: int = 0
@@ -209,15 +204,6 @@ class MemoryCache:
         :class:`~repro.serving.api.ServingStats` mirrors."""
         with self._lock:
             return self.stats.hits, self.stats.misses, self.stats.evictions
-
-    def absorb_delta(self, delta: tuple[int, int, int]) -> None:
-        """Fold a worker process's per-call counter delta into this
-        (parent-side) cache's statistics."""
-        hits, misses, evictions = delta
-        with self._lock:
-            self.stats.hits += int(hits)
-            self.stats.misses += int(misses)
-            self.stats.evictions += int(evictions)
 
     def clear(self) -> None:
         with self._lock:

@@ -5,8 +5,8 @@ gets a recovery verdict. The taxonomy is what the resilience layer
 (:mod:`repro.serving.resilience`) keys on:
 
 * **transient** — the failure is an artifact of *this attempt*, not of
-  the request: a worker process died mid-flush, the process pool broke,
-  an injected chaos fault fired. Predictions are pure functions of the
+  the request: a worker the predictor relies on died mid-flush, an
+  executor it runs on broke, an injected chaos fault fired. Predictions are pure functions of the
   request and the frozen weights, so replaying a transient failure is
   safe and bit-identical — the :class:`~repro.serving.resilience.RetryPolicy`
   retries these.
@@ -17,8 +17,7 @@ gets a recovery verdict. The taxonomy is what the resilience layer
 
 Admission/SLO errors (:class:`OverloadError`,
 :class:`DeadlineExceededError`) live here too so the whole failure
-surface imports from one module; :mod:`repro.serving.api` re-exports
-them for compatibility.
+surface imports from one module.
 """
 
 from __future__ import annotations
@@ -57,27 +56,25 @@ class DeadlineExceededError(TimeoutError):
 class SchedulerClosedError(ServingError):
     """The scheduler shut down before (or while) serving the request.
 
-    Raised by ``submit``/``submit_nowait`` on a closed scheduler, and
-    set on futures whose flush lost its worker pool to a concurrent
-    ``close()`` — previously those leaked the executor's raw
-    ``BrokenProcessPool``/cancellation. Permanent by construction:
-    the pool is gone on purpose and is not coming back.
+    Raised by ``submit``/``submit_nowait`` on a closed scheduler (also
+    to a submitter blocked for queue room when ``close()`` lands).
+    Permanent by construction: the scheduler is gone on purpose and is
+    not coming back.
     """
 
 
 class WorkerCrashError(ServingError):
     """A flush worker died (or was killed) mid-execution.
 
-    The process-pool path maps ``BrokenProcessPool`` to this after the
-    supervised rebuild gives up; the chaos harness raises it directly
-    to simulate worker death in thread mode. Transient: predictions are
-    pure, so replaying the sub-batch on a healthy worker yields the
+    Raised by predictors whose execution depends on a worker that can
+    fail; the chaos harness raises a subclass to simulate one.
+    Transient: predictions are pure, so replaying the flush yields the
     bit-identical answer.
     """
 
 
 class PayloadCorruptionError(ServingError):
-    """A sub-batch payload failed integrity validation.
+    """A request payload failed integrity validation.
 
     Raised by the chaos harness's ``corrupt-payload`` fault (and
     available to any transport-level checksum). Permanent: replaying a
@@ -99,8 +96,8 @@ class RouteUnavailableError(ServingError):
 
 
 #: Exception types whose failures are safe to replay. ``BrokenExecutor``
-#: covers ``BrokenProcessPool`` (a worker process died) and
-#: ``BrokenThreadPool`` — the pool is the casualty, not the request.
+#: covers a predictor's broken process or thread pool — the executor is
+#: the casualty, not the request.
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
     WorkerCrashError,
     BrokenExecutor,

@@ -225,10 +225,10 @@ class AsyncFrontend:
         """Build router + scheduler + frontend from an artifact directory.
 
         Accepts every :meth:`ModelRouter.open` keyword (``mips_backend``,
-        ``max_batch``, ``n_workers``, ``worker_mode``, ...). Forces
+        ``max_batch``, ``retry_policy``, ...). Forces
         ``inline_flush=False`` so flush math never runs on the event
         loop's thread — with ``start_worker=False`` you must call
-        ``backend.flush()`` (from a worker thread) yourself.
+        ``backend.flush()`` (from another thread) yourself.
         """
         router_kwargs.setdefault("inline_flush", False)
         router = ModelRouter.open(

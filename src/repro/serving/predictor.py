@@ -35,7 +35,6 @@ from repro.hw.config import HwConfig
 from repro.mann.batch import BatchInferenceEngine, infer_story_lengths
 from repro.serving.api import QueryRequest, QueryResponse
 from repro.serving.cache import MemoryCache
-from repro.serving.worker import WorkerSpec
 
 DEVICES = ("sw", "hw")
 
@@ -99,7 +98,6 @@ class SoftwarePredictor:
         engine: BatchInferenceEngine,
         vocab: Vocab | None = None,
         task_id: int | None = None,
-        spec: WorkerSpec | None = None,
     ):
         if engine.mips is None:
             raise ValueError(
@@ -108,25 +106,21 @@ class SoftwarePredictor:
         self.engine = engine
         self.vocab = vocab
         self.task_id = task_id
-        #: Picklable rebuild recipe when opened from an artifact
-        #: directory; process-mode scheduling requires it.
-        self.spec = spec
         #: The engine's story-encoding cache (None when caching is off).
         self.cache = engine.memory_cache
 
     def predict(self, request: QueryRequest) -> QueryResponse:
         return self.predict_batch([request])[0]
 
-    def _responses(
-        self, requests, labels, logits, comparisons, early_exits
+    def predict_batch(
+        self, requests: Sequence[QueryRequest]
     ) -> list[QueryResponse]:
-        """Decode stacked result arrays into responses.
-
-        One code path for both execution modes: the thread path feeds
-        it the in-process ``search`` arrays, the process path the
-        arrays shipped back by ``predict_encoded`` — so the two modes
-        produce identical responses by construction.
-        """
+        stories, questions, lengths = _stack_requests(
+            requests, self.engine.config.memory_size
+        )
+        results = self.engine.search(stories, questions, lengths)
+        labels, logits = results.labels, results.logits
+        comparisons, early_exits = results.comparisons, results.early_exits
         return [
             QueryResponse(
                 label=int(labels[i]),
@@ -143,60 +137,11 @@ class SoftwarePredictor:
             for i, request in enumerate(requests)
         ]
 
-    def predict_batch(
-        self, requests: Sequence[QueryRequest]
-    ) -> list[QueryResponse]:
-        stories, questions, lengths = _stack_requests(
-            requests, self.engine.config.memory_size
-        )
-        results = self.engine.search(stories, questions, lengths)
-        return self._responses(
-            requests,
-            results.labels,
-            results.logits,
-            results.comparisons,
-            results.early_exits,
-        )
-
-    # -- process-worker hooks (see repro.serving.worker) ---------------
-    def worker_specs(self) -> list[WorkerSpec]:
-        """The specs a process pool needs to rebuild this predictor."""
-        if self.spec is None:
-            raise ValueError(
-                "worker_mode='process' needs artifact-backed predictors "
-                "(workers rebuild the model from the artifact directory); "
-                "open via open_predictor(<artifact dir>, ...) or "
-                "ModelRouter.open(<artifact dir>, ...)"
-            )
-        return [self.spec]
-
-    def worker_payload(self, requests: Sequence[QueryRequest]):
-        """Encode one sub-batch for ``predict_encoded``: its spec plus
-        the stacked arrays — the only things that cross the pipe."""
-        (spec,) = self.worker_specs()
-        stories, questions, lengths = _stack_requests(
-            requests, self.engine.config.memory_size
-        )
-        return spec, stories, questions, lengths
-
-    def worker_decode(
-        self, requests, labels, logits, comparisons, early_exits
-    ) -> list[QueryResponse]:
-        """Decode a worker's stacked arrays (parent-side)."""
-        return self._responses(requests, labels, logits, comparisons, early_exits)
-
     # -- story-encoding cache hooks ------------------------------------
     def cache_counters(self) -> tuple[int, int, int] | None:
         """Cumulative cache ``(hits, misses, evictions)``, or None when
         caching is off — the scheduler mirrors this into its stats."""
         return self.cache.counters() if self.cache is not None else None
-
-    def absorb_worker_cache(self, requests, delta) -> None:
-        """Fold a worker process's per-call cache-counter delta into the
-        parent-side cache statistics (the worker's table itself stays in
-        its own process; only the accounting crosses the pipe)."""
-        if self.cache is not None and delta is not None:
-            self.cache.absorb_delta(delta)
 
 
 class HardwarePredictor:
@@ -301,7 +246,6 @@ def open_predictor(
     quantized: bool = False,
     cache_entries: int | None = None,
     cache_bytes: int | None = None,
-    spec_source=None,
     **params,
 ):
     """Open a unified :class:`Predictor` over saved or in-memory models.
@@ -323,13 +267,6 @@ def open_predictor(
     the memory-write phase (Eqs. 1–2) bit-identically. It bounds the
     LRU in entries; ``cache_bytes`` optionally bounds resident payload
     bytes. Software device only.
-
-    Predictors opened from an artifact directory additionally carry a
-    :class:`~repro.serving.worker.WorkerSpec` so
-    ``BatchScheduler(worker_mode="process")`` can rebuild them inside
-    worker processes. ``spec_source`` supplies the directory explicitly
-    when the caller already loaded the suite (as ``ModelRouter.open``
-    does) but still wants process-servable predictors.
     """
     if device not in DEVICES:
         raise ValueError(f"unknown device {device!r}; expected one of {DEVICES}")
@@ -338,16 +275,6 @@ def open_predictor(
             "cache_entries= memoises the software engine's memory-write "
             "phase; device='hw' simulates every write cycle-by-cycle"
         )
-    if spec_source is None and isinstance(artifacts, (str, Path)):
-        spec_source = artifacts
-    # The rebuild recipe: the worker replays the same call.
-    spec_args = dict(
-        mips_backend=str(mips_backend),
-        quantized=bool(quantized),
-        cache_entries=cache_entries,
-        cache_bytes=cache_bytes,
-        params=tuple(sorted(params.items())),
-    )
     system, vocab = _resolve_system(artifacts, task_id)
 
     weights = system.weights
@@ -376,16 +303,7 @@ def open_predictor(
             memory_cache=memory_cache,
             **params,
         )
-        spec = (
-            WorkerSpec(
-                artifacts=str(spec_source), task_id=system.task_id, **spec_args
-            )
-            if spec_source is not None
-            else None
-        )
-        return SoftwarePredictor(
-            engine, vocab=vocab, task_id=system.task_id, spec=spec
-        )
+        return SoftwarePredictor(engine, vocab=vocab, task_id=system.task_id)
 
     unsupported = set(params) - {"rho", "index_ordering"}
     if unsupported:

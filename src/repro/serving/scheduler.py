@@ -41,73 +41,39 @@ before enqueueing. Shed/expired/deadline-attainment counts land in
 ``stats`` (``goodput_rate``).
 
 **Fault tolerance.** Predictions are pure functions of the request
-and the frozen weights, which makes replay safe and bit-identical —
-the scheduler exploits that twice. A ``retry_policy``
-(:class:`~repro.serving.resilience.RetryPolicy`) replays sub-batches
-whose failure is *transient* per the
+and the frozen weights, which makes replay safe and bit-identical. A
+``retry_policy`` (:class:`~repro.serving.resilience.RetryPolicy`)
+replays flushes whose failure is *transient* per the
 :mod:`repro.serving.errors` taxonomy, with deterministic exponential
-backoff. In process mode the pool is additionally **supervised**
-(``supervise_pool``): when a worker dies mid-flush
-(``BrokenProcessPool``), the scheduler rebuilds the executor from the
-:class:`~repro.serving.worker.WorkerSpec` recipe it retained at
-construction and transparently replays the affected sub-batches on
-the fresh pool — bounded by ``max_pool_rebuilds``, and independent of
-the retry policy. Failures that survive recovery resolve futures with
-*typed* errors (:class:`~repro.serving.errors.SchedulerClosedError`
-when a concurrent ``close()`` retired the pool,
-:class:`~repro.serving.errors.WorkerCrashError` when the rebuild
-budget is spent), never a raw executor internal. Retries, recoveries
-and rebuilds are counted in ``stats``.
+backoff; a failure that survives it resolves every future of the flush
+with that error. Retries and recoveries are counted in ``stats``.
 
-**Ordering guarantee.** Dequeue from the pending queue is strictly
-FIFO — every flush takes a contiguous run of requests in submission
-order, and responses within one sub-batch resolve in that order. On
-the single-worker inline path flushes additionally *complete* in
-dequeue order (a ticket assigned at dequeue time serialises execution
-FIFO — previously two racing flushes could acquire the execution lock
-out of order and complete newer requests before older ones). In
-process mode sub-batches execute concurrently by design, so completion
-order across sub-batches is unordered; per-route FIFO then holds per
-sub-batch, not across a flush.
-
-``worker_mode`` picks one of two execution paths:
-
-* ``"thread"`` (default) — each flush is one inline ``predict_batch``
-  call on the flushing thread. This mode has exactly one worker:
-  ``n_workers > 1`` raises ``ValueError``, because CPU-bound einsum
-  scans serialise on the GIL and an in-process thread pool measured
-  below a single worker.
-* ``"process"`` — a ``ProcessPoolExecutor`` of ``n_workers`` workers.
-  Each flush is split into up to ``n_workers`` sub-batches —
-  contiguous slices, or whatever the predictor's optional
-  ``partition_batch`` hook returns (the router partitions by task) —
-  dispatched concurrently and reassembled in submission order. The
-  workers rebuild the predictor locally from its picklable
-  :class:`~repro.serving.worker.WorkerSpec` (artifact directory +
-  backend + quantized flag), memory-mapping the artifacts npz so all
-  workers share one set of weight pages. Only encoded sub-batch arrays
-  cross the pipe (via the predictor's ``worker_payload`` hook);
-  stacked result arrays come back and are decoded parent-side by
-  ``worker_decode`` — the same decode the inline path uses, so
-  responses are bit-identical between modes. Requires an
-  artifact-backed predictor; the pool exists even at
-  ``n_workers == 1`` (execution is still out-of-process).
+**Execution and ordering.** Each flush is one inline
+``predict_batch`` call on the flushing thread (the submitter that
+filled the batch, the deadline thread, or a ``flush()``/``close()``
+caller). CPU-bound einsum scans serialise on the GIL, and both an
+in-process thread pool and a process pool measured below this single
+worker, so there is no other execution path. Dequeue from the pending
+queue is strictly FIFO — every flush takes a contiguous run of
+requests in submission order — and flushes *complete* in dequeue
+order: a ticket assigned at dequeue time serialises execution, so two
+racing flushes cannot complete newer requests before older ones.
 
 All timestamps (submission, deadlines, latencies, per-flush service
 time) come from one :class:`~repro.serving.clock.Clock`, so the
 numbers line up and tests can swap in a
 :class:`~repro.serving.clock.ManualClock`. Per-request latency,
-per-flush batch sizes, sub-batch counts and service times are recorded
-in :class:`~repro.serving.api.ServingStats` — the numbers
+per-flush batch sizes and service times are recorded in
+:class:`~repro.serving.api.ServingStats` — the numbers
 ``benchmarks/test_bench_workers.py`` and
-``benchmarks/test_bench_frontend.py`` turn into scaling/goodput
+``benchmarks/test_bench_frontend.py`` turn into throughput/goodput
 curves.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 from repro.serving.api import Predictor, QueryRequest, QueryResponse, ServingStats
@@ -116,13 +82,9 @@ from repro.serving.errors import (
     DeadlineExceededError,
     OverloadError,
     SchedulerClosedError,
-    ServingError,
-    WorkerCrashError,
 )
 from repro.serving.resilience import RetryPolicy
-from repro.serving.worker import initialize_worker, predict_encoded
 
-WORKER_MODES = ("thread", "process")
 OVERLOAD_POLICIES = ("block", "shed", "shed-expired")
 
 
@@ -176,9 +138,7 @@ class BatchScheduler:
     :class:`~repro.serving.api.Predictor` protocol. With
     ``start_worker=False`` no deadline thread is spawned and flushes
     happen only on max-batch, ``flush()`` or ``close()`` — fully
-    deterministic, the mode the unit tests use (in process mode
-    ``_execute`` blocks until its sub-batches finish, so determinism is
-    preserved).
+    deterministic, the mode the unit tests use.
 
     ``inline_flush=False`` moves the max-batch flush off the submitting
     caller onto the deadline thread — the asyncio frontend uses it so a
@@ -193,8 +153,6 @@ class BatchScheduler:
         max_batch: int = 32,
         max_wait_s: float = 0.005,
         start_worker: bool = True,
-        n_workers: int = 1,
-        worker_mode: str = "thread",
         queue_cap: int | None = None,
         overload_policy: str = "block",
         inline_flush: bool = True,
@@ -202,26 +160,11 @@ class BatchScheduler:
         deadline_margin_s: float = 0.0005,
         clock: Clock = MONOTONIC,
         retry_policy: RetryPolicy | None = None,
-        supervise_pool: bool = True,
-        max_pool_rebuilds: int = 8,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-        if worker_mode not in WORKER_MODES:
-            raise ValueError(
-                f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}"
-            )
-        if worker_mode == "thread" and n_workers != 1:
-            raise ValueError(
-                "worker_mode='thread' flushes inline on one worker; "
-                "n_workers > 1 needs worker_mode='process'"
-            )
         if overload_policy not in OVERLOAD_POLICIES:
             raise ValueError(
                 f"overload_policy must be one of {OVERLOAD_POLICIES}, "
@@ -232,8 +175,6 @@ class BatchScheduler:
         self.predictor = predictor
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
-        self.n_workers = int(n_workers)
-        self.worker_mode = worker_mode
         self.queue_cap = int(queue_cap) if queue_cap is not None else None
         self.overload_policy = overload_policy
         self.inline_flush = bool(inline_flush)
@@ -241,8 +182,6 @@ class BatchScheduler:
         self.deadline_margin_s = float(deadline_margin_s)
         self.clock = clock
         self.retry_policy = retry_policy
-        self.supervise_pool = bool(supervise_pool)
-        self.max_pool_rebuilds = int(max_pool_rebuilds)
         self.stats = ServingStats()
         self._pending: list[_Pending] = []
         self._cond = threading.Condition()
@@ -255,38 +194,12 @@ class BatchScheduler:
         self._room_callbacks: list = []
         # FIFO tickets: assigned at dequeue time (under _cond, where
         # submission order is defined), retired when the flush is done.
-        # The inline path executes in ticket order, which pins
-        # completion order = dequeue order = submission order.
+        # Flushes execute in ticket order, which pins completion
+        # order = dequeue order = submission order.
         self._ticket_cond = threading.Condition()
         self._next_ticket = 0
         self._now_serving = 0
         self._retired: set[int] = set()
-        # _pool is guarded by _pool_cond: flushes take a usage token
-        # (_acquire_pool/_release_pool) and close() retires the pool
-        # only once every in-flight flush has released — see close().
-        self._pool_cond = threading.Condition()
-        self._pool_users = 0
-        # Rebuild recipe + budget for the supervised process pool: the
-        # WorkerSpecs captured at construction are all a replacement
-        # pool needs, and _pool_rebuilds counts lifetime swaps against
-        # max_pool_rebuilds (guarded by _pool_cond like _pool itself).
-        self._pool_specs = None
-        self._pool_rebuilds = 0
-        self._pool: ProcessPoolExecutor | None = None
-        if worker_mode == "process":
-            # Fail at construction, not at first flush: process mode
-            # needs a predictor that can describe itself as WorkerSpecs.
-            specs_hook = getattr(predictor, "worker_specs", None)
-            if specs_hook is None:
-                raise ValueError(
-                    "worker_mode='process' needs a predictor with "
-                    "worker_specs/worker_payload/worker_decode hooks "
-                    "(open it from an artifact directory)"
-                )
-            # Even one process worker runs out-of-process, so the pool
-            # exists for every n_workers in this mode.
-            self._pool_specs = specs_hook()
-            self._pool = self._make_process_pool()
         self._worker: threading.Thread | None = None
         if start_worker:
             self._worker = threading.Thread(
@@ -465,15 +378,9 @@ class BatchScheduler:
             self._execute(batch, ticket)
 
     def close(self) -> None:
-        """Flush outstanding requests and stop the workers. Idempotent.
-
-        A max-batch flush from a racing ``submit()`` may still be in
-        flight here; the pool is retired only after every such flush
-        has released its usage token, so ``_execute`` never observes
-        the pool disappearing mid-flush (the old code nulled the pool
-        immediately, stranding already-RUNNING futures with an
-        AttributeError in the flushing thread).
-        """
+        """Flush outstanding requests and stop the deadline thread.
+        Idempotent. A max-batch flush from a racing ``submit()`` may
+        still be in flight; it resolves its own futures."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
@@ -486,12 +393,6 @@ class BatchScheduler:
             self._worker.join()
             self._worker = None
         self.flush()
-        with self._pool_cond:
-            while self._pool_users:
-                self._pool_cond.wait()
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -510,8 +411,8 @@ class BatchScheduler:
 
         This is the *only* place requests leave the queue, and it takes
         a contiguous head slice — the FIFO-dequeue guarantee. A ticket
-        is assigned per non-empty take; inline execution honours ticket
-        order (see :meth:`_await_turn`)."""
+        is assigned per non-empty take; execution honours ticket order
+        (see :meth:`_await_turn`)."""
         batch = self._pending[: limit]
         if not batch:
             return [], None
@@ -522,9 +423,8 @@ class BatchScheduler:
         return batch, ticket
 
     def _await_turn(self, ticket: int) -> None:
-        """Block until every earlier ticket has retired — the inline
-        path's FIFO-completion fence (process flushes skip it:
-        sub-batch concurrency is their point)."""
+        """Block until every earlier ticket has retired — the
+        FIFO-completion fence."""
         with self._ticket_cond:
             while self._now_serving < ticket:
                 self._ticket_cond.wait()
@@ -584,90 +484,6 @@ class BatchScheduler:
             due = min(due, earliest - estimate - self.deadline_margin_s)
         return due
 
-    def _partition(self, batch: list[_Pending]) -> list[list[_Pending]]:
-        """Split a flush into sub-batches for the process pool.
-
-        Uses the predictor's task-aware ``partition_batch`` hook when
-        present (so mixed-task flushes are not split mid-task),
-        otherwise balanced contiguous chunks.
-        """
-        n = min(self.n_workers, len(batch))
-        hook = getattr(self.predictor, "partition_batch", None)
-        if hook is not None:
-            groups = hook([p.request for p in batch], n)
-            chunks = [[batch[i] for i in group] for group in groups if group]
-            if chunks and sorted(i for g in groups for i in g) == list(
-                range(len(batch))
-            ):
-                return chunks
-        size, extra = divmod(len(batch), n)
-        chunks, start = [], 0
-        for k in range(n):
-            stop = start + size + (1 if k < extra else 0)
-            chunks.append(batch[start:stop])
-            start = stop
-        return [c for c in chunks if c]
-
-    def _make_process_pool(self) -> ProcessPoolExecutor:
-        """A fresh worker pool from the retained WorkerSpec recipe —
-        used at construction and by every supervised rebuild."""
-        return ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=initialize_worker,
-            initargs=(self._pool_specs,),
-        )
-
-    def _rebuild_pool(self, broken) -> ProcessPoolExecutor | None:
-        """Swap a broken process pool for a fresh one (supervision).
-
-        Returns the pool to replay the affected sub-batches on, or
-        ``None`` when replay is impossible: the scheduler is closed,
-        supervision is off, or the rebuild budget is spent. Idempotent
-        under concurrent flushes — whoever loses the race just gets the
-        replacement another flush already installed, without burning a
-        second budget slot.
-        """
-        with self._pool_cond:
-            current = self._pool
-            if current is not None and current is not broken:
-                return current  # another flush already swapped it in
-            if (
-                current is None
-                or self._closed
-                or not self.supervise_pool
-                or self._pool_rebuilds >= self.max_pool_rebuilds
-            ):
-                return None
-            self._pool_rebuilds += 1
-            self._pool = self._make_process_pool()
-            fresh = self._pool
-        # Reap the dead pool outside the lock; its workers are gone, so
-        # there is nothing to wait for.
-        broken.shutdown(wait=False)
-        with self._stats_lock:
-            self.stats.record_pool_rebuild()
-        return fresh
-
-    @property
-    def pool_rebuilds(self) -> int:
-        """Lifetime count of supervised pool swaps."""
-        with self._pool_cond:
-            return self._pool_rebuilds
-
-    @staticmethod
-    def _is_pool_failure(error: BaseException) -> bool:
-        """Whether a failure condemns the *pool* rather than the batch:
-        ``BrokenExecutor`` (a worker process died) or the executor's
-        raw RuntimeError for submitting after another flush already
-        retired/swapped the pool this flush still references."""
-        if isinstance(error, BrokenExecutor):
-            return True
-        return (
-            isinstance(error, RuntimeError)
-            and not isinstance(error, ServingError)
-            and "shutdown" in str(error)
-        )
-
     def note_safety_net_wakeup(self) -> None:
         """Count one lost-wakeup safety-net firing (async frontend)."""
         with self._stats_lock:
@@ -682,26 +498,6 @@ class BatchScheduler:
         """Count requests a route's degraded fallback served (router)."""
         with self._stats_lock:
             self.stats.record_degraded(n)
-
-    def _acquire_pool(self):
-        """Take a usage token on the pool, or None when it is gone.
-
-        Holding a token blocks ``close()`` from shutting the pool down,
-        so a captured pool reference stays submittable for the whole
-        flush — this (plus the inline fallback in ``_execute``) is the
-        fix for the close/flush race.
-        """
-        with self._pool_cond:
-            if self._pool is None:
-                return None
-            self._pool_users += 1
-            return self._pool
-
-    def _release_pool(self) -> None:
-        with self._pool_cond:
-            self._pool_users -= 1
-            if not self._pool_users:
-                self._pool_cond.notify_all()
 
     def _execute(self, batch: list[_Pending], ticket: int | None = None) -> None:
         try:
@@ -727,44 +523,15 @@ class BatchScheduler:
             batch = [p for p in batch if p.future.set_running_or_notify_cancel()]
             if not batch:
                 return
-            pool = self._acquire_pool()
             started = self.clock.now()
-            if pool is None:
-                # Thread mode, or close() already retired the process
-                # pool out from under a racing max-batch flush: answer
-                # inline so the RUNNING futures resolve instead of
-                # stranding. Ticket order makes completion FIFO here.
-                if ticket is not None:
-                    self._await_turn(ticket)
-                self._run_chunk(batch)
-                with self._stats_lock:
-                    self.stats.record_flush(
-                        len(batch),
-                        sub_batches=1,
-                        service_s=self.clock.now() - started,
-                    )
-                self._sync_cache_stats()
-                return
-            try:
-                try:
-                    chunks = self._partition(batch)
-                except Exception as error:
-                    # The partition hook is predictor code too: a
-                    # raising hook must resolve (not strand) the
-                    # already-RUNNING futures, and must not kill the
-                    # deadline thread.
-                    self._fail_chunk(batch, error)
-                    return
-                self._execute_process(pool, chunks)
-                with self._stats_lock:
-                    self.stats.record_flush(
-                        len(batch),
-                        sub_batches=len(chunks),
-                        service_s=self.clock.now() - started,
-                    )
-                self._sync_cache_stats()
-            finally:
-                self._release_pool()
+            if ticket is not None:
+                self._await_turn(ticket)
+            self._run(batch)
+            with self._stats_lock:
+                self.stats.record_flush(
+                    len(batch), service_s=self.clock.now() - started
+                )
+            self._sync_cache_stats()
         finally:
             self._retire_ticket(ticket)
 
@@ -780,114 +547,15 @@ class BatchScheduler:
         with self._stats_lock:
             self.stats.set_cache_counters(*counters)
 
-    def _execute_process(self, pool, chunks: list[list[_Pending]]) -> None:
-        """Ship each sub-batch's encoded arrays to a worker process.
-
-        Every chunk is submitted before any result is awaited so the
-        pool works them concurrently. Failures are classified, not
-        propagated raw: a failure that condemns the *pool* (a worker
-        died → ``BrokenProcessPool``) triggers a supervised rebuild
-        from the retained WorkerSpecs and the affected sub-batches are
-        replayed on the fresh pool — predictions are pure, so the
-        replay is bit-identical. A *transient* failure the worker
-        raised is replayed per ``retry_policy`` with one backoff sleep
-        per round. Everything else resolves that chunk's futures typed:
-        :class:`~repro.serving.errors.SchedulerClosedError` when a
-        concurrent ``close()`` took the pool away for good,
-        :class:`~repro.serving.errors.WorkerCrashError` (cause chained)
-        when the rebuild budget is spent, the original error otherwise
-        — all without stranding the other chunks.
-        """
-        retry = self.retry_policy
-        pending_chunks = [(chunk, 1) for chunk in chunks]
-        while pending_chunks:
-            round_pool = pool
-            jobs: list[tuple[list[_Pending], int, Future | None, object]] = []
-            for chunk, attempt in pending_chunks:
-                job = error = None
-                try:
-                    payload = self.predictor.worker_payload(
-                        [p.request for p in chunk]
-                    )
-                    job = round_pool.submit(predict_encoded, *payload)
-                except Exception as exc:
-                    error = exc
-                jobs.append((chunk, attempt, job, error))
-            pending_chunks = []
-            backoff_s = 0.0
-            for chunk, attempt, job, error in jobs:
-                if error is None:
-                    try:
-                        labels, logits, comparisons, early_exits, cache_delta = (
-                            job.result()
-                        )
-                        responses = self.predictor.worker_decode(
-                            [p.request for p in chunk],
-                            labels,
-                            logits,
-                            comparisons,
-                            early_exits,
-                        )
-                    except Exception as exc:
-                        error = exc
-                    else:
-                        if cache_delta is not None:
-                            absorb = getattr(
-                                self.predictor, "absorb_worker_cache", None
-                            )
-                            if absorb is not None:
-                                absorb([p.request for p in chunk], cache_delta)
-                        self._resolve_chunk(chunk, responses)
-                        if attempt > 1:
-                            with self._stats_lock:
-                                self.stats.record_recovered(len(chunk))
-                        continue
-                if self._is_pool_failure(error):
-                    # Pool-level: rebuild-and-replay needs no retry
-                    # policy — it is bounded by max_pool_rebuilds, and
-                    # the rebuild is shared by every chunk this round.
-                    replacement = self._rebuild_pool(round_pool)
-                    if replacement is not None:
-                        pool = replacement
-                        pending_chunks.append((chunk, attempt + 1))
-                        with self._stats_lock:
-                            self.stats.record_retry()
-                        continue
-                    if self._closed:
-                        closed = SchedulerClosedError(
-                            "scheduler closed while a process flush was "
-                            "in flight; the worker pool is gone on purpose"
-                        )
-                        closed.__cause__ = error
-                        self._fail_chunk(chunk, closed)
-                        continue
-                    crash = WorkerCrashError(
-                        "worker pool broke and could not be rebuilt "
-                        f"(supervise_pool={self.supervise_pool}, rebuilds "
-                        f"used {self._pool_rebuilds}/{self.max_pool_rebuilds})"
-                    )
-                    crash.__cause__ = error
-                    self._fail_chunk(chunk, crash)
-                    continue
-                if retry is not None and retry.should_retry(error, attempt):
-                    backoff_s = max(backoff_s, retry.backoff_s(attempt))
-                    pending_chunks.append((chunk, attempt + 1))
-                    with self._stats_lock:
-                        self.stats.record_retry()
-                    continue
-                self._fail_chunk(chunk, error)
-            if pending_chunks and backoff_s > 0.0:
-                self.clock.sleep(backoff_s)
-
-    def _resolve_chunk(
-        self, chunk: list[_Pending], responses: list[QueryResponse]
+    def _resolve(
+        self, batch: list[_Pending], responses: list[QueryResponse]
     ) -> None:
-        """Resolve one answered sub-batch: latency + deadline-attainment
+        """Resolve one answered flush: latency + deadline-attainment
         accounting, then the futures, in submission order."""
         done = self.clock.now()
-        latencies = [done - pending.submitted_at for pending in chunk]
+        latencies = [done - pending.submitted_at for pending in batch]
         met = missed = 0
-        for pending in chunk:
+        for pending in batch:
             if pending.deadline_at is not None:
                 if done <= pending.deadline_at:
                     met += 1
@@ -896,20 +564,19 @@ class BatchScheduler:
         with self._stats_lock:
             self.stats.record_latencies(latencies)
             self.stats.record_deadline_outcomes(met, missed)
-        for pending, response, latency in zip(chunk, responses, latencies):
+        for pending, response, latency in zip(batch, responses, latencies):
             pending.future.set_result(replace(response, latency_s=latency))
 
-    def _run_chunk(self, chunk: list[_Pending]) -> None:
-        """Answer one batch inline, resolving its futures in order.
+    def _run(self, batch: list[_Pending]) -> None:
+        """Answer one flush, resolving its futures in order.
 
-        The inline twin of the process path's recovery:
-        transient predictor failures are replayed per ``retry_policy``
+        Transient predictor failures are replayed per ``retry_policy``
         (predictions are pure, so the replay is bit-identical); the
-        final failure resolves the sub-batch's futures instead of
+        final failure resolves the flush's futures instead of
         propagating.
         """
         retry = self.retry_policy
-        requests = [p.request for p in chunk]
+        requests = [p.request for p in batch]
         attempt = 1
         while True:
             try:
@@ -921,25 +588,24 @@ class BatchScheduler:
                     self.clock.sleep(retry.backoff_s(attempt))
                     attempt += 1
                     continue
-                self._fail_chunk(chunk, error)
+                self._fail(batch, error)
                 return
             if attempt > 1:
                 with self._stats_lock:
-                    self.stats.record_recovered(len(chunk))
-            self._resolve_chunk(chunk, responses)
+                    self.stats.record_recovered(len(batch))
+            self._resolve(batch, responses)
             return
 
-    def _fail_chunk(self, chunk: list[_Pending], error: BaseException) -> None:
-        """Resolve one failed sub-batch: tell the predictor (the
-        router's ``record_failure`` hook feeds per-route circuit
-        breakers), then set the error on every future. The single
-        failure sink for every flush path — futures are never stranded
-        and never see a raw executor internal."""
+    def _fail(self, batch: list[_Pending], error: BaseException) -> None:
+        """Resolve one failed flush: tell the predictor (the router's
+        ``record_failure`` hook feeds per-route circuit breakers), then
+        set the error on every future — the single failure sink, so
+        futures are never stranded."""
         hook = getattr(self.predictor, "record_failure", None)
         if hook is not None:
             try:
-                hook([p.request for p in chunk], error)
+                hook([p.request for p in batch], error)
             except Exception:
                 pass  # the hook must not strand futures or kill flushes
-        for pending in chunk:
+        for pending in batch:
             pending.future.set_exception(error)

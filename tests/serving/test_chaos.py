@@ -5,10 +5,9 @@ Unit half: :class:`FaultPlan` decisions are a pure function of
 :class:`ChaosPredictor` injects exactly the drawn fault per execution.
 
 Acceptance half (the matrix at the end): with faults injected *and
-recovered from* — including real worker-process kills — the served
-responses are bit-identical to a fault-free run, across all four MIPS
-backends and both worker modes. Recovery replays the
-exact sub-batch, so chaos must be observable only in the stats.
+recovered from*, the served responses are bit-identical to a
+fault-free run, across all four MIPS backends. Recovery replays the
+exact flush, so chaos must be observable only in the stats.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.serving import (
     QueryResponse,
     RetryPolicy,
 )
-from repro.serving.chaos import KILL_EXIT_CODE, ChaosOp
 
 
 def _suite_requests(suite, tasks=(1, 6)):
@@ -60,7 +58,7 @@ def _assert_identical_responses(baseline, recovered):
 
 
 class EchoPredictor:
-    """Thread- and process-hook stub the chaos wrapper can wrap."""
+    """Stub predictor the chaos wrapper can wrap."""
 
     marker = "echo"  # visible through __getattr__ delegation
 
@@ -76,9 +74,6 @@ class EchoPredictor:
             for r in requests
         ]
 
-    def worker_payload(self, requests):
-        return ("spec", np.arange(len(requests)))
-
 
 def _request(i: int) -> QueryRequest:
     return QueryRequest(
@@ -92,10 +87,10 @@ class TestFaultPlan:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(kill_worker_rate=-0.1),
-            dict(kill_worker_rate=0.6, raise_rate=0.6),  # sum > 1
+            dict(raise_rate=-0.1),
+            dict(corrupt_rate=0.6, raise_rate=0.6),  # sum > 1
             dict(delay_s=-1.0),
-            dict(schedule=((-1, "kill-worker"),)),
+            dict(schedule=((-1, "raise-in-predict"),)),
             dict(schedule=((0, "segfault"),)),
         ],
     )
@@ -105,14 +100,14 @@ class TestFaultPlan:
 
     def test_decisions_are_pure(self):
         plan = FaultPlan(
-            kill_worker_rate=0.2, raise_rate=0.2, delay_rate=0.2, seed=42
+            raise_rate=0.2, delay_rate=0.2, corrupt_rate=0.2, seed=42
         )
         first = [plan.kind_at(i) for i in range(100)]
         # Same plan, same decisions — call order and instance identity
-        # are irrelevant (the property process workers rely on).
+        # are irrelevant.
         again = [
             FaultPlan(
-                kill_worker_rate=0.2, raise_rate=0.2, delay_rate=0.2, seed=42
+                raise_rate=0.2, delay_rate=0.2, corrupt_rate=0.2, seed=42
             ).kind_at(i)
             for i in range(100)
         ]
@@ -136,10 +131,10 @@ class TestFaultPlan:
         assert all(plan.kind_at(i) is None for i in (0, 1, 2, 4))
 
     def test_fork_is_deterministic_and_key_sensitive(self):
-        plan = FaultPlan(kill_worker_rate=0.3, seed=9, schedule=((1, "delay-flush"),))
+        plan = FaultPlan(raise_rate=0.3, seed=9, schedule=((1, "delay-flush"),))
         assert plan.fork(1) == plan.fork(1)
         assert plan.fork(1).seed != plan.fork(6).seed
-        assert plan.fork(1).kill_worker_rate == 0.3
+        assert plan.fork(1).raise_rate == 0.3
         assert plan.fork(1).schedule == plan.schedule  # kept per route
         faults = lambda p: [p.kind_at(i) for i in range(64)]
         assert faults(plan.fork(1)) != faults(plan.fork(6))
@@ -155,7 +150,7 @@ class TestChaosPredictor:
         assert chaos.calls == 1
         assert all(count == 0 for count in chaos.injected.values())
 
-    @pytest.mark.parametrize("kind", ["kill-worker", "raise-in-predict"])
+    @pytest.mark.parametrize("kind", ["raise-in-predict"])
     def test_thread_mode_soft_faults_raise_transient(self, kind):
         chaos = ChaosPredictor(
             EchoPredictor(), FaultPlan(schedule=((0, kind),))
@@ -166,13 +161,12 @@ class TestChaosPredictor:
         # The next execution draws a fresh, healthy index.
         assert chaos.predict_batch([_request(1)])[0].label == 1
 
-    def test_corrupt_payload_is_permanent_both_modes(self):
+    def test_corrupt_payload_is_permanent(self):
         plan = FaultPlan(schedule=((0, "corrupt-payload"), (1, "corrupt-payload")))
         chaos = ChaosPredictor(EchoPredictor(), plan)
-        with pytest.raises(PayloadCorruptionError):
-            chaos.predict_batch([_request(0)])
-        with pytest.raises(PayloadCorruptionError):
-            chaos.worker_payload([_request(1)])
+        for i in range(2):
+            with pytest.raises(PayloadCorruptionError):
+                chaos.predict_batch([_request(i)])
         assert chaos.injected["corrupt-payload"] == 2
 
     def test_delay_fault_sleeps_on_the_injected_clock(self):
@@ -182,47 +176,16 @@ class TestChaosPredictor:
         chaos.predict_batch([_request(0)])
         assert clock.now() == 0.25  # slept exactly delay_s, no wall time
 
-    def test_process_mode_fault_rides_the_payload(self):
-        plan = FaultPlan(schedule=((0, "raise-in-predict"),))
-        chaos = ChaosPredictor(EchoPredictor(), plan)
-        spec, arrays = chaos.worker_payload([_request(0)])
-        assert isinstance(spec, ChaosOp)
-        assert spec.kind == "raise-in-predict" and spec.spec == "spec"
-        # Healthy executions ship the bare spec — nothing chaos-shaped
-        # crosses the pipe.
-        spec, _ = chaos.worker_payload([_request(1)])
-        assert spec == "spec"
-
-
-class TestChaosOp:
-    def test_raise_fires_worker_side(self):
-        op = ChaosOp(spec="spec", kind="raise-in-predict")
-        with pytest.raises(InjectedFaultError):
-            op.apply_worker_side()
-
-    def test_delay_then_unwraps(self):
-        op = ChaosOp(spec="spec", kind="delay-flush", delay_s=0.0)
-        assert op.apply_worker_side() == "spec"
-
-    def test_healthy_op_unwraps(self):
-        assert ChaosOp(spec="spec").apply_worker_side() == "spec"
-
-    def test_kill_exit_code_is_distinctive(self):
-        # The real kill is exercised in test_resilience's supervised
-        # pool tests; here just pin the contract value.
-        assert KILL_EXIT_CODE == 87
-
 
 class TestRecoveryParityMatrix:
     """Chaos + recovery == fault-free, bit for bit, whole matrix.
 
-    Faults are scheduled (not rate-drawn) so every combination takes a
-    transient predict failure on its first execution and a real worker
-    kill (process mode) on its third — recovery replays through every
-    backend's exact numerics.
+    Faults are scheduled (not rate-drawn) so every backend takes a
+    transient predict failure on its first and third executions —
+    recovery replays through every backend's exact numerics.
     """
 
-    SCHEDULE = ((0, "raise-in-predict"), (2, "kill-worker"))
+    SCHEDULE = ((0, "raise-in-predict"), (2, "raise-in-predict"))
 
     def _serve(self, artifacts_dir, requests, **kwargs):
         with ModelRouter.open(
@@ -234,10 +197,15 @@ class TestRecoveryParityMatrix:
             stats = router.stats
         return responses, stats
 
-    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    @pytest.mark.parametrize("backend", ["alsh", "clustering", "exact", "threshold"])
+    # Ids keep their "-thread" suffix (the inline flush path) so tracked
+    # test names stay stable.
+    @pytest.mark.parametrize(
+        "backend",
+        ["alsh", "clustering", "exact", "threshold"],
+        ids=lambda backend: f"{backend}-thread",
+    )
     def test_recovered_responses_bit_identical(
-        self, tiny_suite, artifacts_dir, backend, worker_mode
+        self, tiny_suite, artifacts_dir, backend
     ):
         requests = _suite_requests(tiny_suite)
         kwargs = dict(mips_backend=backend, seed=0)
@@ -245,8 +213,6 @@ class TestRecoveryParityMatrix:
         recovered, stats = self._serve(
             artifacts_dir,
             requests,
-            worker_mode=worker_mode,
-            n_workers=2 if worker_mode == "process" else 1,
             chaos_plan=FaultPlan(schedule=self.SCHEDULE),
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
             **kwargs,
@@ -256,5 +222,3 @@ class TestRecoveryParityMatrix:
         # in the responses.
         assert stats.retries >= 1
         assert stats.recovered >= 1
-        if worker_mode == "process":
-            assert stats.pool_rebuilds >= 1

@@ -6,8 +6,7 @@ extra), so every async test here drives its own loop with
 
 The parity matrix at the end is the acceptance gate: responses served
 through ``AsyncFrontend`` must be bit-identical to synchronous
-``submit()`` across all four MIPS backends and both worker modes. Both
-paths use ``max_batch == len(requests)`` so each run is exactly one
+``submit()`` across all four MIPS backends. Both paths use ``max_batch == len(requests)`` so each run is exactly one
 flush over the identical request order — identical partitioning, hence
 identical padded-batch numerics (pairwise-summation widths and all).
 """
@@ -142,11 +141,6 @@ class TestAsyncBridge:
             return response
 
         assert asyncio.run(run()).label == 0
-
-    def test_open_rejects_thread_worker_pool(self, artifacts_dir):
-        """Thread mode flushes inline; n_workers > 1 needs processes."""
-        with pytest.raises(ValueError, match="worker_mode='process'"):
-            AsyncFrontend.open(str(artifacts_dir), n_workers=2)
 
     def test_default_deadline_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -333,7 +327,7 @@ def _matrix_requests(suite):
     return requests
 
 
-def _open_router(artifacts_dir, n_requests, worker_mode, backend):
+def _open_router(artifacts_dir, n_requests, backend):
     # max_batch == n_requests: the run is exactly one flush, triggered
     # inline by the final submission — identical partitioning between
     # the sync and async paths, hence bit-identical numerics.
@@ -342,33 +336,30 @@ def _open_router(artifacts_dir, n_requests, worker_mode, backend):
         mips_backend=backend,
         seed=0,
         max_batch=n_requests,
-        n_workers=2 if worker_mode == "process" else 1,
-        worker_mode=worker_mode,
         start_worker=False,
     )
 
 
 class TestAsyncParityMatrix:
     """Acceptance: AsyncFrontend == BatchScheduler.submit, bitwise,
-    across all four MIPS backends × both worker modes."""
+    across all four MIPS backends."""
 
-    @pytest.mark.parametrize("backend", ["alsh", "clustering", "exact", "threshold"])
-    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
-    def test_bit_identical_to_sync_submit(
-        self, tiny_suite, artifacts_dir, backend, worker_mode
-    ):
+    # Ids keep their "thread-" prefix (the inline flush path) so tracked
+    # test names stay stable.
+    @pytest.mark.parametrize(
+        "backend",
+        ["alsh", "clustering", "exact", "threshold"],
+        ids=lambda backend: f"thread-{backend}",
+    )
+    def test_bit_identical_to_sync_submit(self, tiny_suite, artifacts_dir, backend):
         requests = _matrix_requests(tiny_suite)
 
-        with _open_router(
-            artifacts_dir, len(requests), worker_mode, backend
-        ) as router:
+        with _open_router(artifacts_dir, len(requests), backend) as router:
             futures = [router.submit(r) for r in requests]
             sync = [f.result(timeout=60.0) for f in futures]
 
         async def run():
-            router = _open_router(
-                artifacts_dir, len(requests), worker_mode, backend
-            )
+            router = _open_router(artifacts_dir, len(requests), backend)
             async with AsyncFrontend(router) as frontend:
                 return await frontend.query_many(requests)
 

@@ -1,12 +1,11 @@
-"""Retry/backoff, the supervised process pool, and per-route breakers.
+"""Retry/backoff and per-route breakers.
 
 The fault-tolerance contract in three layers, tested bottom-up: the
 :class:`RetryPolicy`/:class:`CircuitBreaker` machines are deterministic
 in isolation (ManualClock, fixed seeds — no wall-clock waits, no
-flakes); the scheduler replays transient sub-batch failures and rebuilds
-a broken process pool from its retained WorkerSpecs (exercised against
-*real* worker deaths via the chaos harness); the router isolates a
-failing route behind its breaker without touching healthy routes.
+flakes); the scheduler replays transient flush failures; the router
+isolates a failing route behind its breaker without touching healthy
+routes.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.serving import (
     AsyncFrontend,
     BatchScheduler,
     CircuitBreaker,
-    FaultPlan,
     ManualClock,
     ModelRouter,
     QueryRequest,
@@ -30,9 +28,7 @@ from repro.serving import (
     RouteUnavailableError,
     SchedulerClosedError,
     WorkerCrashError,
-    open_predictor,
 )
-from repro.serving.chaos import ChaosPredictor
 
 
 def _request(i: int, task: int | None = None) -> QueryRequest:
@@ -216,7 +212,7 @@ class TestCircuitBreaker:
 
 
 class TestSchedulerRetry:
-    """The scheduler's retry loop on the thread/inline flush path."""
+    """The scheduler's retry loop."""
 
     def test_transient_failure_replayed_to_success(self):
         flaky = FlakyPredictor(fail_times=2)
@@ -301,108 +297,6 @@ class TestSchedulerRetry:
         scheduler.close()
         with pytest.raises(SchedulerClosedError, match="closed"):
             scheduler.submit(_request(0))
-
-
-class TestSupervisedPool:
-    """Process-pool supervision against *real* worker deaths."""
-
-    def _scheduler(self, artifacts_dir, plan, **kwargs):
-        predictor = ChaosPredictor(open_predictor(artifacts_dir, 1), plan)
-        kwargs.setdefault(
-            "retry_policy", RetryPolicy(max_attempts=3, backoff_base_s=0.0)
-        )
-        return BatchScheduler(
-            predictor,
-            max_batch=8,
-            n_workers=2,
-            worker_mode="process",
-            start_worker=False,
-            **kwargs,
-        )
-
-    def test_pool_rebuilt_and_sub_batches_replayed(self, artifacts_dir):
-        plan = FaultPlan(schedule=((0, "kill-worker"),))
-        scheduler = self._scheduler(artifacts_dir, plan)
-        futures = [scheduler.submit(_request(i)) for i in range(6)]
-        scheduler.flush()
-        labels = [f.result(timeout=60.0).label for f in futures]
-        assert all(label >= 0 for label in labels)
-        assert scheduler.pool_rebuilds >= 1
-        assert scheduler.stats.pool_rebuilds == scheduler.pool_rebuilds
-        assert scheduler.stats.retries >= 1
-        assert scheduler.stats.recovered >= 1
-        scheduler.close()
-
-    def test_recovery_is_bit_identical(self, artifacts_dir):
-        requests = [_request(i) for i in range(6)]
-        clean = self._scheduler(artifacts_dir, FaultPlan())
-        clean_futures = [clean.submit(r) for r in requests]
-        clean.flush()
-        baseline = [f.result(timeout=60.0) for f in clean_futures]
-        clean.close()
-
-        chaotic = self._scheduler(
-            artifacts_dir, FaultPlan(schedule=((0, "kill-worker"),))
-        )
-        futures = [chaotic.submit(r) for r in requests]
-        chaotic.flush()
-        recovered = [f.result(timeout=60.0) for f in futures]
-        chaotic.close()
-
-        for a, b in zip(baseline, recovered):
-            assert (a.label, a.logit, a.comparisons, a.early_exit) == (
-                b.label,
-                b.logit,
-                b.comparisons,
-                b.early_exit,
-            )
-
-    def test_unsupervised_pool_loses_the_flush(self, artifacts_dir):
-        plan = FaultPlan(schedule=((0, "kill-worker"),))
-        scheduler = self._scheduler(
-            artifacts_dir, plan, supervise_pool=False, retry_policy=None
-        )
-        futures = [scheduler.submit(_request(i)) for i in range(6)]
-        scheduler.flush()
-        errors = [f.exception(timeout=60.0) for f in futures]
-        assert any(isinstance(e, WorkerCrashError) for e in errors)
-        assert scheduler.pool_rebuilds == 0
-        scheduler.close()
-
-    def test_rebuild_budget_is_enforced(self, artifacts_dir):
-        # Every payload kills its worker: the budget runs out and the
-        # flush fails with the budget cited, instead of looping forever.
-        plan = FaultPlan(kill_worker_rate=1.0)
-        scheduler = self._scheduler(
-            artifacts_dir,
-            plan,
-            max_pool_rebuilds=2,
-            retry_policy=RetryPolicy(max_attempts=10, backoff_base_s=0.0),
-        )
-        future = scheduler.submit(_request(0))
-        scheduler.flush()
-        error = future.exception(timeout=60.0)
-        assert isinstance(error, WorkerCrashError)
-        assert "rebuild" in str(error)
-        assert scheduler.pool_rebuilds == 2
-        scheduler.close()
-
-    def test_mid_flush_close_resolves_futures_typed(self, artifacts_dir):
-        # A pool broken after close() must not be rebuilt: the affected
-        # futures resolve with SchedulerClosedError instead of leaking
-        # a fresh pool past shutdown (the close-race bugfix).
-        plan = FaultPlan(schedule=((0, "kill-worker"),))
-        scheduler = self._scheduler(artifacts_dir, plan)
-        futures = [scheduler.submit(_request(i)) for i in range(6)]
-        scheduler._closed = True  # simulate close() winning the race
-        scheduler.flush()
-        errors = [f.exception(timeout=60.0) for f in futures]
-        assert any(isinstance(e, SchedulerClosedError) for e in errors)
-        assert all(
-            e is None or isinstance(e, SchedulerClosedError) for e in errors
-        )
-        assert scheduler.pool_rebuilds == 0
-        scheduler.close()
 
 
 class TestRouterBreakers:

@@ -39,11 +39,6 @@ class TestOpen:
         ) as router:
             assert router.tasks == [1]
 
-    def test_thread_mode_rejects_worker_pool(self, tiny_suite):
-        """Thread mode flushes inline; n_workers > 1 needs processes."""
-        with pytest.raises(ValueError, match="worker_mode='process'"):
-            ModelRouter.open(tiny_suite, n_workers=2, start_worker=False)
-
     def test_rejects_empty_and_garbage(self):
         with pytest.raises(ValueError, match="route"):
             ModelRouter({})
@@ -128,17 +123,3 @@ class TestRouting:
         router.close()
         with pytest.raises(RuntimeError, match="closed"):
             router.submit(_request(tiny_suite, 1, 0))
-
-
-class TestPartitioning:
-    def test_partition_batch_is_task_pure_and_complete(self, tiny_suite):
-        """Every sub-batch holds one task only; indices cover the flush."""
-        requests = [
-            _request(tiny_suite, (1, 6)[i % 2], i) for i in range(20)
-        ]
-        with ModelRouter.open(tiny_suite, start_worker=False) as router:
-            groups = router._dispatch.partition_batch(requests, 4)
-        flat = sorted(i for g in groups for i in g)
-        assert flat == list(range(20))
-        for group in groups:
-            assert len({requests[i].task for i in group}) == 1

@@ -2,9 +2,7 @@
 
 A stub keeps these tests fast and deterministic: the scheduler only
 needs the ``predict_batch`` protocol, and real-engine equivalence is
-covered against the tiny trained suite. The process worker pool's
-flush mechanics run on a router over the suite's saved artifacts,
-because its workers rebuild their routes from disk.
+covered against the tiny trained suite.
 """
 
 from __future__ import annotations
@@ -221,7 +219,6 @@ class TestWorker:
         # No duplicated execution: the predictor saw each request once.
         assert sum(stub.flush_sizes) == total - len(cancelled)
         assert scheduler.stats.requests == total - len(cancelled)
-        assert set(scheduler.stats.sub_batches_per_flush) == {1}
 
 
 class TestWithRealPredictor:
@@ -259,96 +256,18 @@ def _numbered_requests(suite, n: int, task: int = 1):
     ]
 
 
-def _pool_router(artifacts_dir, **kwargs):
-    """A one-route router whose flushes run on the process pool."""
-    kwargs.setdefault("start_worker", False)
-    return ModelRouter.open(
-        artifacts_dir, tasks=[1], worker_mode="process", **kwargs
-    )
+class TestCloseRace:
+    """``close()`` racing submitters' max-batch flushes."""
 
-
-def _inline_responses(artifacts_dir, requests):
-    with ModelRouter.open(
-        artifacts_dir, tasks=[1], max_batch=len(requests), start_worker=False
-    ) as router:
-        futures = [router.submit(r) for r in requests]
-        router.flush()
-        return [f.result(timeout=60.0) for f in futures]
-
-
-def _assert_same_answers(expected, got):
-    assert [r.request_id for r in got] == [r.request_id for r in expected]
-    assert [r.label for r in got] == [r.label for r in expected]
-    assert [r.logit for r in got] == [r.logit for r in expected]  # bitwise
-
-
-class TestWorkerPool:
-    """Flush execution on the process worker pool: partition-hook
-    dispatch, failure containment and close races. Thread mode has no
-    pool: it flushes inline on one worker."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            BatchScheduler(StubPredictor(), n_workers=0, start_worker=False)
-        with pytest.raises(ValueError, match="worker_mode='process'"):
-            BatchScheduler(StubPredictor(), n_workers=2, start_worker=False)
-
-    def test_partition_hook_used_when_present(self, tiny_suite, artifacts_dir):
-        requests = _numbered_requests(tiny_suite, 8)
-        inline = _inline_responses(artifacts_dir, requests)
-        with _pool_router(artifacts_dir, max_batch=8, n_workers=2) as router:
-            # Odd/even split — any index cover must be honoured.
-            router.scheduler.predictor.partition_batch = lambda reqs, n: [
-                list(range(k, len(reqs), 2)) for k in range(2)
-            ]
-            futures = [router.submit(r) for r in requests]
-            pooled = [f.result(timeout=60.0) for f in futures]
-            assert router.stats.sub_batches_per_flush == [2]
-            assert router.route_stats[1].batch_sizes == [4, 4]
-        _assert_same_answers(inline, pooled)
-
-    def test_partition_hook_non_contiguous_permutation(
-        self, tiny_suite, artifacts_dir
-    ):
-        """A hook returning a valid but non-contiguous index cover
-        (strided groups) must still map every response to its own
-        request."""
-        requests = _numbered_requests(tiny_suite, 9)
-        inline = _inline_responses(artifacts_dir, requests)
-        with _pool_router(artifacts_dir, max_batch=9, n_workers=3) as router:
-            router.scheduler.predictor.partition_batch = lambda reqs, n: [
-                list(range(k, len(reqs), 3)) for k in range(3)
-            ]
-            futures = [router.submit(r) for r in requests]
-            pooled = [f.result(timeout=60.0) for f in futures]
-            assert router.stats.sub_batches_per_flush == [3]
-        _assert_same_answers(inline, pooled)
-
-    def test_partition_hook_error_resolves_futures(
-        self, tiny_suite, artifacts_dir
-    ):
-        """A raising partition hook must fail the flush's futures, not
-        strand them RUNNING (and not kill the deadline thread)."""
-
-        def broken(requests, n):
-            raise KeyError("unroutable task")
-
-        with _pool_router(artifacts_dir, max_batch=4, n_workers=2) as router:
-            router.scheduler.predictor.partition_batch = broken
-            futures = [
-                router.submit(r) for r in _numbered_requests(tiny_suite, 4)
-            ]
-            for future in futures:
-                assert isinstance(future.exception(timeout=60.0), KeyError)
-
-    def test_close_under_load_strands_nothing(self, tiny_suite, artifacts_dir):
-        """Regression for the close/flush race: close() must not retire
-        the pool while a submitter's max-batch flush is mid-_execute.
-        Under submit/close contention every accepted future must end
-        resolved or cancelled."""
+    def test_close_under_load_strands_nothing(self, tiny_suite):
+        """Under submit/close contention every accepted future must end
+        resolved (with its own answer) or cancelled: a max-batch flush
+        still in flight when close() returns resolves its own futures."""
         requests = _numbered_requests(tiny_suite, 160)
-        for _ in range(3):
-            router = _pool_router(artifacts_dir, max_batch=4, n_workers=2)
+        for _ in range(15):
+            router = ModelRouter.open(
+                tiny_suite, tasks=[1], max_batch=4, start_worker=False
+            )
             futures: list = []
             lock = threading.Lock()
             errors: list = []
@@ -408,8 +327,8 @@ class TestFifoOrdering:
     """Regression for the flush()/deadline-thread/max-batch race.
 
     The documented guarantee: dequeue is strictly FIFO (every flush is
-    a contiguous head slice of the pending queue), and on the inline
-    path flushes also *complete* in dequeue order.
+    a contiguous head slice of the pending queue), and flushes also
+    *complete* in dequeue order.
     Before the dequeue-time ticketing fix, two concurrent ``_execute``
     calls could acquire the execution lock out of order and complete
     newer requests before older ones.
@@ -445,50 +364,9 @@ class TestFifoOrdering:
         )
         batches = self._hammer(scheduler, stub)
         completed = [i for batch in batches for i in batch]
-        # Inline path: ticket order pins completion order
-        # to submission order even with 6 racing flushers.
+        # Ticket order pins completion order to submission order even
+        # with 6 racing flushers.
         assert completed == list(range(self.N))
-
-    def test_pooled_dequeue_is_fifo_contiguous(self, tiny_suite, artifacts_dir):
-        """Process-pool sub-batches complete in any order by design,
-        but every dequeue is a contiguous run of requests in submission
-        order — with the deadline thread and four racing flushers."""
-        n = 120
-        requests = _numbered_requests(tiny_suite, n)
-        router = _pool_router(
-            artifacts_dir, max_batch=4, max_wait_s=0.0, n_workers=2,
-            start_worker=True,
-        )
-        dispatch = router.scheduler.predictor
-        partition = dispatch.partition_batch
-        dequeues: list = []
-
-        def recording(reqs, k):
-            dequeues.append([r.request_id for r in reqs])
-            return partition(reqs, k)
-
-        dispatch.partition_batch = recording
-        stop = threading.Event()
-
-        def flusher():
-            while not stop.is_set():
-                router.flush()
-
-        flushers = [threading.Thread(target=flusher) for _ in range(4)]
-        for thread in flushers:
-            thread.start()
-        try:
-            futures = [router.submit(r) for r in requests]
-            responses = [f.result(timeout=60.0) for f in futures]
-        finally:
-            stop.set()
-            for thread in flushers:
-                thread.join(timeout=30.0)
-            router.close()
-        assert [r.request_id for r in responses] == list(range(n))
-        for ids in dequeues:
-            assert ids == list(range(ids[0], ids[0] + len(ids)))
-        assert sorted(i for ids in dequeues for i in ids) == list(range(n))
 
 
 class TestAdmissionControl:

@@ -1,9 +1,9 @@
-"""ServingStats under concurrent hammering, through both worker modes.
+"""ServingStats under concurrent hammering.
 
 The scheduler serialises every stats mutation behind its internal
 stats lock; these tests are the proof — many submitter threads racing
-max-batch inline flushes, the deadline thread, and (in process mode)
-pool completions, with *exact* request totals asserted at the end.
+max-batch inline flushes and the deadline thread, with *exact* request
+totals asserted at the end.
 A torn reservoir update or a dropped counter increment shows up here
 as an off-by-N total or a non-monotone percentile.
 """
@@ -11,8 +11,6 @@ as an off-by-N total or a non-monotone percentile.
 from __future__ import annotations
 
 import threading
-
-import pytest
 
 from repro.serving import ModelRouter, QueryRequest
 
@@ -46,17 +44,12 @@ def _assert_monotone_percentiles(stats) -> None:
     assert 0.0 <= stats.mean_service_s and 0.0 <= stats.p95_service_s
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
-def test_concurrent_submitters_exact_totals(
-    tiny_suite, artifacts_dir, worker_mode
-):
+def test_concurrent_submitters_exact_totals(tiny_suite, artifacts_dir):
     total = N_THREADS * PER_THREAD
     with ModelRouter.open(
         artifacts_dir,
         max_batch=8,
         max_wait_s=0.001,
-        n_workers=2 if worker_mode == "process" else 1,
-        worker_mode=worker_mode,
     ) as router:
         barrier = threading.Barrier(N_THREADS)
         futures_by_thread: dict[int, list] = {}

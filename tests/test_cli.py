@@ -7,6 +7,8 @@ directory through ``--artifacts`` — exercising exactly the
 no-retraining path the serving API exists for.
 """
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -162,16 +164,25 @@ class TestServingCommands:
         assert "one-at-a-time" in out
         assert "scheduler (1 worker, max_batch=8)" in out
         assert "micro-batching speedup" in out
-        # The process-pool row runs only with --worker-mode process.
-        assert "process pool" not in out
 
-    def test_serve_bench_thread_workers_rejected(self, capsys):
-        """Thread mode flushes inline on one worker: asking it for a
-        pool is a usage error, caught before any model is loaded."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(["serve-bench", "--workers", "2"])
-        assert exit_info.value.code == 2
-        assert "--worker-mode process" in capsys.readouterr().err
+    def test_serve_bench_chaos_rate_is_retried(self, cli_artifacts, capsys):
+        """--chaos-rate injects transient faults that --retry-max
+        replays: every request is served and the retries are printed."""
+        code = main(
+            [
+                "serve-bench", "--artifacts", cli_artifacts,
+                "--requests", "64", "--max-batch", "4",
+                "--chaos-rate", "0.3", "--retry-max", "6",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "chaos rate 0.3" in out
+        match = re.search(
+            r"resilience: (\d+) failed, (\d+) retried, (\d+) recovered", out
+        )
+        failed, retried, recovered = map(int, match.groups())
+        assert failed == 0 and retried > 0 and recovered > 0
 
     def test_train_quantize_and_query_quantized(self, tmp_path, capsys):
         directory = str(tmp_path / "qsuite")
@@ -179,30 +190,6 @@ class TestServingCommands:
         assert "Q3.8 fixed-point snapshot" in capsys.readouterr().out
         assert main(["query", "--artifacts", directory, "--task", "1", "--quantized"]) == 0
         assert "quantized weights" in capsys.readouterr().out
-
-    def test_serve_bench_process_mode(self, cli_artifacts, capsys):
-        code = main(
-            [
-                "serve-bench", "--artifacts", cli_artifacts,
-                "--requests", "24", "--max-batch", "8",
-                "--workers", "2", "--worker-mode", "process",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "process pool (2 workers)" in out
-        assert "process-pool speedup" in out
-        assert "per-route requests: task 1: 24" in out
-
-    def test_serve_bench_process_mode_needs_artifacts(self):
-        with pytest.raises(SystemExit, match="artifacts"):
-            main(
-                [
-                    "serve-bench", "--worker-mode", "process",
-                    "--tasks", "1", "--n-train", "8", "--n-test", "4",
-                    "--epochs", "1",
-                ]
-            )
 
     def test_query_quantized_without_snapshot_exits(self, cli_artifacts):
         with pytest.raises(SystemExit, match="quantized"):
